@@ -28,7 +28,7 @@ func BenchmarkBuildThetaTiledBig(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		top, err := topology.BuildThetaTiled(context.Background(), pts, cfg, topology.TiledConfig{})
+		top, err := topology.BuildThetaContext(context.Background(), pts, cfg, runtime.GOMAXPROCS(0))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"toporouting/internal/experiments"
@@ -404,8 +405,8 @@ func BenchmarkIncrementalVsRebuild(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildThetaParallel measures the worker-pool from-scratch build
-// across worker counts (the output is bit-identical for all of them; see
+// BenchmarkBuildThetaParallel measures the from-scratch n=2000 build across
+// worker counts (the output is bit-identical for all of them; see
 // TestBuildThetaParallelDeterminism).
 func BenchmarkBuildThetaParallel(b *testing.B) {
 	pts := benchPoints(2000)
@@ -418,15 +419,22 @@ func BenchmarkBuildThetaParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			w := workers
+			if w == 0 {
+				w = runtime.GOMAXPROCS(0)
+			}
 			for i := 0; i < b.N; i++ {
-				topology.BuildThetaParallel(pts, cfg, workers)
+				if _, err := topology.BuildThetaContext(context.Background(), pts, cfg, w); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkBuildThetaTiled measures the tile-sharded from-scratch build at
-// the scales it exists for. The transmission range is the standard
+// BenchmarkBuildThetaTiled measures the from-scratch build across
+// GOMAXPROCS workers at the scales tiling exists for: the builder keeps
+// n=10⁴ on one grid and tiles n=10⁵. The transmission range is the standard
 // Θ(√(log n / n)) connectivity radius (a fixed formula — CriticalRange's
 // global MST would dominate setup at these sizes). The n=10⁶ variant lives
 // behind -tags bigbench in bench_big_test.go.
@@ -438,7 +446,7 @@ func BenchmarkBuildThetaTiled(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := topology.BuildThetaTiled(context.Background(), pts, cfg, topology.TiledConfig{}); err != nil {
+				if _, err := topology.BuildThetaContext(context.Background(), pts, cfg, runtime.GOMAXPROCS(0)); err != nil {
 					b.Fatal(err)
 				}
 			}

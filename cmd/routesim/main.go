@@ -9,7 +9,7 @@
 //	         [-mobility 0] [-mobstep 0.01]
 //	         [-churn 0] [-churn-every 50] [-churn-step 0.02]
 //	         [-distributed] [-drop 0] [-delay 0] [-crash 0]
-//	         [-workers 0] [-tiles 0]
+//	         [-workers 0]
 //	         [-json] [-metrics] [-trace run.jsonl]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof-addr :6060]
 //
@@ -27,11 +27,11 @@
 // rounds-to-convergence, and whether the convergence certificate held.
 // Mutually exclusive with -churn; requires a ΘALG MAC (given or random).
 //
-// -workers caps the worker pool of centralized topology builds (0 = the
-// sequential builder) and of interference-set construction; output is
-// bit-identical for every worker count. -tiles k > 0 routes full builds
-// through the tile-sharded builder (k×k tiles, halo-stitched) — same
-// topology, lower peak memory on large n.
+// -workers caps the worker pool of centralized topology builds (0 = a
+// sequential build) and of interference-set construction; output is
+// bit-identical for every worker count. The builder tiles large point sets
+// (k×k tiles, halo-stitched) on its own — same topology, lower peak
+// memory.
 //
 // Observability: -trace streams one JSON event per line (router steps, MAC
 // rounds, topology builds, rebuilds) into the given file; -metrics prints
@@ -85,7 +85,6 @@ func run() error {
 		crash       = flag.Int("crash", 0, "distributed mode: number of node crash/restart cycles")
 
 		workers = flag.Int("workers", 0, "cap the topology-build, interference-set and Monte-Carlo worker pools (0 = sequential build, GOMAXPROCS Monte-Carlo)")
-		tiles   = flag.Int("tiles", 0, "build the topology tile-sharded over a k×k tile grid (0 = single-arena builder); output is identical")
 		runs    = flag.Int("runs", 1, "Monte-Carlo repetitions over seeds seed..seed+runs-1 (reports per-seed delivery)")
 
 		jsonOut    = flag.Bool("json", false, "emit the result as a single JSON object")
@@ -162,7 +161,6 @@ func run() error {
 		ChurnStep:     *churnStep,
 		DistFaults:    faults,
 		Workers:       *workers,
-		Tiles:         *tiles,
 		Seed:          *seed,
 		Telemetry:     tel,
 	}

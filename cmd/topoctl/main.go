@@ -19,8 +19,9 @@
 // GRANT / ACK messages over a faulty medium (-drop, -delay, -crash), and the
 // run is certified against the centralized builder — edge-identical when
 // loss-free, connected and degree-bounded under faults. -workers on the main
-// command caps the worker pool of the centralized parallel builder (0 =
-// sequential).
+// command caps the goroutines of the centralized build (0 = sequential);
+// the builder tiles large point sets on its own, and the topology is
+// identical for every worker count.
 //
 // Observability: -trace streams the ΘALG build events (phase timings,
 // distributed protocol rounds) as JSONL; -metrics prints the telemetry
@@ -29,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -148,7 +150,7 @@ func run() error {
 		delta       = flag.Float64("delta", 0.5, "interference guard zone Δ > 0")
 		srcs        = flag.Int("sources", 40, "Dijkstra sources for stretch (0 = exact)")
 		distributed = flag.Bool("distributed", false, "use the 3-round message-passing protocol")
-		workers     = flag.Int("workers", 0, "cap the parallel builder's worker pool (0 = sequential builder)")
+		workers     = flag.Int("workers", 0, "cap the centralized build's goroutines (0 = sequential build)")
 		edges       = flag.Bool("edges", false, "dump the edge list")
 		svgPath     = flag.String("svg", "", "write an SVG rendering (G* faint, N bold) to this file")
 		pointsIn    = flag.String("points", "", "read node positions from this file instead of generating")
@@ -215,10 +217,8 @@ func run() error {
 			fmt.Printf("protocol: %d position, %d neighborhood, %d connection msgs (%d deliveries)\n",
 				st.PositionMsgs, st.NeighborhoodMsgs, st.ConnectionMsgs, st.Deliveries)
 		}
-	case *workers > 0:
-		nw, err = toporouting.BuildNetworkParallel(pts, opts, *workers)
 	default:
-		nw, err = toporouting.BuildNetwork(pts, opts)
+		nw, err = toporouting.BuildNetworkContext(context.Background(), pts, opts, *workers, nil)
 	}
 	if err != nil {
 		return err

@@ -1,6 +1,6 @@
 // Command toporoutingd serves the topology-control and routing stack over
-// HTTP/JSON: topology builds (centralized, parallel, or the asynchronous
-// distributed protocol engine), routing simulations (synchronous or as
+// HTTP/JSON: topology builds (centralized, or the asynchronous distributed
+// protocol engine), routing simulations (synchronous or as
 // pollable async jobs), and interference queries.
 //
 // Usage:
@@ -17,7 +17,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/topology              build a topology; {"mode":"centralized|parallel|distributed", ...}
+//	POST /v1/topology              build a topology; {"mode":"centralized|distributed", ...}
+//	                               ("parallel" and "tiled" are aliases of centralized)
 //	POST /v1/simulate              run a simulation; {"async":true} returns 202 + job id
 //	POST /v1/interference          interference number of a built topology
 //	GET  /v1/jobs/{id}             poll an async job

@@ -1,6 +1,7 @@
 package toporouting
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -12,13 +13,21 @@ func TestBuildNetworkParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ar := NewBuildArena()
 	for _, workers := range []int{-1, 1, 2, 7} {
-		par, err := BuildNetworkParallel(pts, opts, workers)
+		par, err := BuildNetworkContext(context.Background(), pts, opts, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(par.Edges(), seq.Edges()) {
 			t.Fatalf("workers=%d: parallel build changed the topology", workers)
+		}
+		par, err = BuildNetworkContext(context.Background(), pts, opts, workers, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par.Edges(), seq.Edges()) {
+			t.Fatalf("workers=%d: arena build changed the topology", workers)
 		}
 	}
 }

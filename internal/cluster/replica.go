@@ -27,8 +27,8 @@ type replica struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	id, tenant, mode string
-	theta, rng       float64
+	id, tenant string
+	theta, rng float64
 
 	logGen int64 // generation of the newest appended (acked) record
 	log    []session.DeltaRecord
@@ -56,7 +56,6 @@ func newReplica(shard int, cp *session.Checkpoint, ringSize int) *replica {
 		shard:  shard,
 		id:     cp.ID,
 		tenant: cp.Tenant,
-		mode:   cp.Mode,
 		theta:  cp.Theta,
 		rng:    cp.Range,
 		logGen: cp.Gen,
@@ -343,7 +342,6 @@ func (m *replica) checkpoint() *session.Checkpoint {
 	return &session.Checkpoint{
 		ID:     m.id,
 		Tenant: m.tenant,
-		Mode:   m.mode,
 		Theta:  m.theta,
 		Range:  m.rng,
 		Gen:    m.gen,

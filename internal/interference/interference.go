@@ -74,7 +74,7 @@ type pair struct{ i, j int32 }
 // through a sync.Pool, so steady-state calls only allocate their returned
 // result (one flat backing array plus the slice-of-slices header).
 type setsScratch struct {
-	grid     spatial.CompactGrid
+	grid     spatial.Grid
 	incStart []int32 // incident-edge CSR over nodes
 	incIdx   []int32
 	cursors  []int32

@@ -81,21 +81,15 @@ func (f *faultSpec) plan() toporouting.FaultPlan {
 // topologyRequest is the body of POST /v1/topology.
 type topologyRequest struct {
 	pointSpec
-	// Mode selects the builder: "centralized" (default), "parallel"
-	// (phase-1 fan-out over Workers), "tiled" (tile-sharded construction
-	// over a Tiles×Tiles grid with per-tile halos — same topology, lower
-	// peak memory, the right mode for large n), or "distributed" (the
-	// asynchronous message-passing protocol engine, optionally under
-	// Faults).
-	Mode    string  `json:"mode,omitempty"`
-	Theta   float64 `json:"theta,omitempty"`
-	Range   float64 `json:"range,omitempty"`
-	Kappa   float64 `json:"kappa,omitempty"`
-	Delta   float64 `json:"delta,omitempty"`
-	Workers int     `json:"workers,omitempty"`
-	// Tiles is the tiled-mode tile grid dimension k (k×k tiles); ≤ 0
-	// selects a density heuristic.
-	Tiles int `json:"tiles,omitempty"`
+	// Mode selects the algorithm: "centralized" (the default; "parallel"
+	// and "tiled" are accepted as aliases, since the builder picks its own
+	// strategy from the input) or "distributed" (the asynchronous
+	// message-passing protocol engine, optionally under Faults).
+	Mode  string  `json:"mode,omitempty"`
+	Theta float64 `json:"theta,omitempty"`
+	Range float64 `json:"range,omitempty"`
+	Kappa float64 `json:"kappa,omitempty"`
+	Delta float64 `json:"delta,omitempty"`
 	// BuildSeed seeds the distributed engine's event scheduler (distinct
 	// from pointSpec.Seed, which seeds point generation).
 	BuildSeed int64      `json:"build_seed,omitempty"`

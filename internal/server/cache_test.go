@@ -397,12 +397,8 @@ func TestRequestPoolReuse(t *testing.T) {
 		if gotEdges := len(tr.Edges) > 0; gotEdges != wantEdges {
 			t.Fatalf("iteration %d: edges present=%v, want %v (stale pooled request state?)", i, gotEdges, wantEdges)
 		}
-		wantMode := "parallel"
-		if i%2 == 1 {
-			wantMode = "centralized"
-		}
-		if tr.Mode != wantMode {
-			t.Fatalf("iteration %d: mode %q, want %q", i, tr.Mode, wantMode)
+		if tr.Mode != "centralized" {
+			t.Fatalf("iteration %d: mode %q, want centralized", i, tr.Mode)
 		}
 	}
 }
@@ -425,6 +421,57 @@ func TestInmMatches(t *testing.T) {
 	for _, tc := range cases {
 		if got := inmMatches(tc.header, etag); got != tc.want {
 			t.Errorf("inmMatches(%q) = %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}
+
+// TestCacheModeAliasesShareEntry pins the mode collapse: "", "parallel"
+// and "tiled" are the one centralized ΘALG build, so the same points under
+// each must return identical bytes from one cache entry — the first
+// request builds, the other two hit.
+func TestCacheModeAliasesShareEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	var first []byte
+	for i, mode := range []string{"", "parallel", "tiled"} {
+		req := map[string]any{"dist": "uniform", "n": 70, "seed": 5, "include_edges": true, "mode": mode}
+		resp, body := postJSON(t, ts.URL+"/v1/topology", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mode %q: %d %s", mode, resp.StatusCode, body)
+		}
+		want := "hit"
+		if i == 0 {
+			want, first = "miss", body
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("mode %q: X-Cache = %q, want %q", mode, got, want)
+		}
+		if !bytes.Equal(body, first) {
+			t.Fatalf("mode %q: body differs from mode \"\"\n got: %s\nwant: %s", mode, body, first)
+		}
+	}
+}
+
+// TestInterferenceCacheIgnoresWorkers pins that workers, which never
+// changes an interference response, does not split its cache entry: a
+// second request differing only in workers is a hit with identical bytes.
+func TestInterferenceCacheIgnoresWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	var first []byte
+	for i, workers := range []int{1, 4} {
+		req := map[string]any{"dist": "uniform", "n": 80, "seed": 6, "workers": workers}
+		resp, body := postJSON(t, ts.URL+"/v1/interference", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers=%d: %d %s", workers, resp.StatusCode, body)
+		}
+		want := "hit"
+		if i == 0 {
+			want, first = "miss", body
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("workers=%d: X-Cache = %q, want %q", workers, got, want)
+		}
+		if !bytes.Equal(body, first) {
+			t.Fatalf("workers=%d: body differs from workers=1", workers)
 		}
 	}
 }

@@ -509,9 +509,6 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode := req.Mode
-	if mode == "" {
-		mode = "centralized"
-	}
 	opts := toporouting.Options{
 		Theta: req.Theta, Range: req.Range, Kappa: req.Kappa, Delta: req.Delta,
 		Telemetry: s.cfg.Telemetry,
@@ -522,37 +519,21 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	includeEdges := req.IncludeEdges
 	var run func(context.Context) (any, error)
 	switch mode {
-	case "centralized", "parallel":
-		workers := req.Workers
-		if mode == "parallel" && workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if mode == "centralized" {
-			workers = 0
-		}
+	case "", "centralized", "parallel", "tiled":
+		// One ΘALG build serves every centralized alias — the builder picks
+		// its strategy from the input — so they share one response and one
+		// cache entry.
+		mode = "centralized"
 		run = func(ctx context.Context) (any, error) {
 			start := time.Now()
 			ar := getArena()
-			nw, err := toporouting.BuildNetworkArenaContext(ctx, pts, opts, workers, ar)
+			nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, 0, ar)
 			if err != nil {
 				putArena(ar)
 				return nil, err
 			}
 			return &topologyResult{
 				mode: mode, nw: nw, includeEdges: includeEdges, ar: ar,
-				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}, nil
-		}
-	case "tiled":
-		tiles, workers := req.Tiles, req.Workers
-		run = func(ctx context.Context) (any, error) {
-			start := time.Now()
-			nw, err := toporouting.BuildNetworkTiledContext(ctx, pts, opts, tiles, workers)
-			if err != nil {
-				return nil, err
-			}
-			return &topologyResult{
-				mode: mode, nw: nw, includeEdges: includeEdges,
 				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 			}, nil
 		}
@@ -578,11 +559,12 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 			}, nil
 		}
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized, parallel, tiled, or distributed)", mode))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized or distributed)", mode))
 		return
 	}
 	// Digest the parsed request with response-neutral fields normalized:
-	// timeout_ms never changes the body, and the empty mode is the default.
+	// timeout_ms never changes the body, and every centralized alias is
+	// one mode.
 	dreq := *req
 	dreq.TimeoutMS = 0
 	dreq.Mode = mode
@@ -618,7 +600,7 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		// All response values are extracted here, inside the job, so the
 		// arena can be released before the result leaves the closure.
 		defer putArena(ar)
-		nw, err := toporouting.BuildNetworkArenaContext(ctx, pts, opts, workers, ar)
+		nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, workers, ar)
 		if err != nil {
 			return nil, err
 		}
@@ -637,8 +619,11 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		res.elapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 		return res, nil
 	}
+	// Digest with the response-neutral fields zeroed: the interference sets
+	// are bit-identical for every worker count.
 	dreq := *req
 	dreq.TimeoutMS = 0
+	dreq.Workers = 0
 	s.serveStateless(w, r, "interference", "interference", &dreq, req.TimeoutMS, run, func(st *encodeState, v any) error {
 		encodeInterferenceResult(st, v.(*interferenceResult))
 		return nil

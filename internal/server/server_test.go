@@ -94,13 +94,6 @@ func TestTopologyModesAgree(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	edges := func(mode string) [][2]int {
 		req := map[string]any{"mode": mode, "dist": "uniform", "n": 60, "seed": 7, "include_edges": true}
-		if mode == "parallel" {
-			req["workers"] = 4
-		}
-		if mode == "tiled" {
-			req["tiles"] = 4
-			req["workers"] = 2
-		}
 		resp, body := postJSON(t, ts.URL+"/v1/topology", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mode %s: status %d, body %s", mode, resp.StatusCode, body)
@@ -113,11 +106,13 @@ func TestTopologyModesAgree(t *testing.T) {
 			if tr.DistReport == nil || !tr.DistReport.Converged {
 				t.Fatalf("fault-free distributed build did not converge: %+v", tr.DistReport)
 			}
+		} else if tr.Mode != "centralized" {
+			t.Fatalf("mode %q echoed as %q, want centralized", mode, tr.Mode)
 		}
 		return tr.Edges
 	}
 	want := edges("centralized")
-	for _, mode := range []string{"parallel", "tiled", "distributed"} {
+	for _, mode := range []string{"", "parallel", "tiled", "distributed"} {
 		got := edges(mode)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("mode %s edges differ from centralized", mode)

@@ -32,14 +32,8 @@ import (
 // sessionCreateRequest is the body of POST /v1/sessions.
 type sessionCreateRequest struct {
 	pointSpec
-	// Mode selects the initial build: "centralized" (default), "parallel",
-	// or "tiled". All modes produce the same topology; the session's churn
-	// path is identical afterwards.
-	Mode      string  `json:"mode,omitempty"`
 	Theta     float64 `json:"theta,omitempty"`
 	Range     float64 `json:"range,omitempty"`
-	Tiles     int     `json:"tiles,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
 	TimeoutMS int     `json:"timeout_ms,omitempty"`
 }
 
@@ -129,13 +123,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantOf(r)
-	spec := session.BuildSpec{
-		Mode:    req.Mode,
-		Theta:   req.Theta,
-		Range:   req.Range,
-		Tiles:   req.Tiles,
-		Workers: req.Workers,
-	}
+	spec := session.BuildSpec{Theta: req.Theta, Range: req.Range}
 	run := func(ctx context.Context) (any, error) {
 		start := time.Now()
 		sess, err := s.cluster.Create(ctx, tenant, pts, spec)

@@ -116,7 +116,7 @@ func getSession(t *testing.T, baseURL, tenant, id, ifNoneMatch string) (*http.Re
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	created := createSession(t, ts.URL, "acme", map[string]any{"dist": "uniform", "n": 80, "seed": 3})
-	if created.N != 80 || created.Gen != 0 || created.Mode != "centralized" {
+	if created.N != 80 || created.Gen != 0 {
 		t.Fatalf("created = %+v", created)
 	}
 
@@ -221,6 +221,24 @@ func TestSessionQuota429(t *testing.T) {
 	}
 	// Another tenant is unaffected.
 	createSession(t, ts.URL, "other", map[string]any{"dist": "uniform", "n": 50, "seed": 4})
+}
+
+// TestSessionDuplicatePointsKeepQuota pins over HTTP that a create whose
+// points repeat a position is a 400 that leaves the tenant's slot free:
+// more such failures than the quota must not lock the tenant out.
+func TestSessionDuplicatePointsKeepQuota(t *testing.T) {
+	_, ts := newTestServer(t, Config{Sessions: session.Config{MaxSessionsPerTenant: 2}})
+	dup, _ := json.Marshal(map[string]any{"points": [][2]float64{{0.1, 0.2}, {0.5, 0.5}, {0.1, 0.2}}})
+	for i := 0; i < 3; i++ {
+		resp := sessionRequest(t, http.MethodPost, ts.URL+"/v1/sessions", "acme", dup)
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("duplicate points create %d: status %d, want 400 (%s)", i, resp.StatusCode, raw)
+		}
+	}
+	createSession(t, ts.URL, "acme", map[string]any{"dist": "uniform", "n": 50, "seed": 1})
+	createSession(t, ts.URL, "acme", map[string]any{"dist": "uniform", "n": 50, "seed": 2})
 }
 
 func TestSessionEventRate429(t *testing.T) {
@@ -359,10 +377,15 @@ func (m *wireMirror) sortedEdges() [][2]int {
 	return out
 }
 
-// TestSessionDeltaReplayEquivalence drives 60 churn events per build mode
-// and asserts that snapshot(g) + deltas(g, g'] == snapshot(g') exactly —
-// points bit-for-bit, edges edge-for-edge.
+// TestSessionDeltaReplayEquivalence drives 60 churn events and asserts
+// that snapshot(g) + deltas(g, g'] == snapshot(g') exactly — points
+// bit-for-bit, edges edge-for-edge.
+//
+// Clients written against the API that had a per-session build mode still
+// send a "mode" field. Each case sends one such value: the server ignores
+// it, so every case must start from byte-identical snapshots.
 func TestSessionDeltaReplayEquivalence(t *testing.T) {
+	var firstBase []byte
 	for _, mode := range []string{"centralized", "parallel", "tiled"} {
 		t.Run(mode, func(t *testing.T) {
 			_, ts := newTestServer(t, Config{Sessions: session.Config{DeltaRing: 1024}})
@@ -371,6 +394,11 @@ func TestSessionDeltaReplayEquivalence(t *testing.T) {
 			})
 
 			_, body := getSession(t, ts.URL, "acme", created.ID, "")
+			if firstBase == nil {
+				firstBase = body
+			} else if !bytes.Equal(body, firstBase) {
+				t.Fatalf("mode %q: initial snapshot differs from the first case's", mode)
+			}
 			var base session.Snapshot
 			if err := json.Unmarshal(body, &base); err != nil {
 				t.Fatal(err)

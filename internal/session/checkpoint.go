@@ -20,7 +20,6 @@ import (
 type Checkpoint struct {
 	ID     string        `json:"id"`
 	Tenant string        `json:"tenant"`
-	Mode   string        `json:"mode"`
 	Theta  float64       `json:"theta"`
 	Range  float64       `json:"range"`
 	Gen    int64         `json:"gen"`
@@ -100,7 +99,6 @@ func (s *Session) checkpointLocked() *Checkpoint {
 	return &Checkpoint{
 		ID:     s.ID,
 		Tenant: s.Tenant,
-		Mode:   s.Mode,
 		Theta:  t.Cfg.Theta,
 		Range:  t.Cfg.Range,
 		Gen:    s.gen,
@@ -131,7 +129,7 @@ func (s *Session) Rewire(ctx context.Context, install func(*Checkpoint) func(Del
 }
 
 // Restore rehosts a checkpointed session: the topology is rebuilt from the
-// checkpoint's points in its original mode, and the rebuild must reproduce
+// checkpoint's points, and the rebuild must reproduce
 // the checkpointed edge set exactly — guaranteed by the maintenance
 // invariant, verified here so a corrupted or tampered checkpoint aborts
 // instead of silently serving a diverged topology. The session keeps its
@@ -151,16 +149,15 @@ func (r *Registry) Restore(ctx context.Context, cp *Checkpoint) (*Session, error
 	for i, p := range cp.Points {
 		pts[i] = geom.Pt(p[0], p[1])
 	}
-	top, err := r.build(ctx, cp.Mode, pts, topology.Config{Theta: cp.Theta, Range: cp.Range, Telemetry: r.cfg.Telemetry}, BuildSpec{})
+	top, err := r.build(ctx, cp.Tenant, pts, topology.Config{Theta: cp.Theta, Range: cp.Range, Telemetry: r.cfg.Telemetry})
 	if err != nil {
-		r.release(cp.Tenant)
 		return nil, err
 	}
 	if err := verifyEdges(top, cp.Edges); err != nil {
 		r.release(cp.Tenant)
 		return nil, err
 	}
-	s := newSession(cp.ID, cp.Tenant, cp.Mode, topology.NewDynamicFrom(top), r.cfg.DeltaRing, r.cfg.MaxNodes, r.cfg.Telemetry)
+	s := newSession(cp.ID, cp.Tenant, topology.NewDynamicFrom(top), r.cfg.DeltaRing, r.cfg.MaxNodes, r.cfg.Telemetry)
 	// The loop has not started yet, so the loop-owned fields are safe to
 	// seed directly: the generation carries over, and the ring keeps the
 	// newest records it can hold so delta readers survive the move.

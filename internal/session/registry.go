@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -81,19 +80,13 @@ type QuotaError struct {
 
 func (e *QuotaError) Error() string { return "session: " + e.Reason }
 
-// BuildSpec selects how a session's initial topology is built. Any mode
-// ends in the same tables — NewDynamicFrom takes over from there.
+// BuildSpec parameterizes a session's initial topology.
 type BuildSpec struct {
-	// Mode is "centralized" (default), "parallel", or "tiled".
-	Mode string
 	// Theta is the cone angle; 0 selects the package default.
 	Theta float64
 	// Range is the transmission range D, fixed for the session's lifetime;
 	// 0 selects 1.3x the critical connectivity range of the initial set.
 	Range float64
-	// Tiles and Workers parameterize the parallel/tiled builders.
-	Tiles   int
-	Workers int
 }
 
 // Registry owns every hosted session: creation (with quota enforcement),
@@ -173,21 +166,16 @@ func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, 
 	if dRange <= 0 {
 		return nil, fmt.Errorf("session: range %v must be positive", dRange)
 	}
-	mode := spec.Mode
-	if mode == "" {
-		mode = "centralized"
-	}
 
 	id, err := r.reserve(tenant)
 	if err != nil {
 		return nil, err
 	}
-	top, err := r.build(ctx, mode, pts, topology.Config{Theta: theta, Range: dRange, Telemetry: r.cfg.Telemetry}, spec)
+	top, err := r.build(ctx, tenant, pts, topology.Config{Theta: theta, Range: dRange, Telemetry: r.cfg.Telemetry})
 	if err != nil {
-		r.release(tenant)
 		return nil, err
 	}
-	s := newSession(id, tenant, mode, topology.NewDynamicFrom(top), r.cfg.DeltaRing, r.cfg.MaxNodes, r.cfg.Telemetry)
+	s := newSession(id, tenant, topology.NewDynamicFrom(top), r.cfg.DeltaRing, r.cfg.MaxNodes, r.cfg.Telemetry)
 	if err := r.host(s, "session.created"); err != nil {
 		return nil, err
 	}
@@ -224,24 +212,18 @@ func (r *Registry) host(s *Session, counter string) error {
 	return nil
 }
 
-// build dispatches to the selected builder. Every mode yields tables
-// bit-identical to BuildTheta's, so the dynamic handle's locality argument
-// holds regardless of how the base was constructed.
-func (r *Registry) build(ctx context.Context, mode string, pts []geom.Point, cfg topology.Config, spec BuildSpec) (*topology.Topology, error) {
-	switch mode {
-	case "centralized":
-		return topology.BuildThetaContext(ctx, pts, cfg, 0)
-	case "parallel":
-		workers := spec.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+// build runs the initial ΘALG build of a session whose slot tenant has
+// already reserved, releasing the slot when the build fails. A panic
+// counts as a failure: the builder panics on duplicate positions, and the
+// caller's recover turns that into a client error, so the slot must not
+// stay taken. The panic is re-raised after the release.
+func (r *Registry) build(ctx context.Context, tenant string, pts []geom.Point, cfg topology.Config) (top *topology.Topology, err error) {
+	defer func() {
+		if top == nil {
+			r.release(tenant)
 		}
-		return topology.BuildThetaContext(ctx, pts, cfg, workers)
-	case "tiled":
-		return topology.BuildThetaTiled(ctx, pts, cfg, topology.TiledConfig{Tiles: spec.Tiles, Workers: spec.Workers})
-	default:
-		return nil, fmt.Errorf("session: unknown mode %q (want centralized, parallel, or tiled)", mode)
-	}
+	}()
+	return topology.BuildThetaContext(ctx, pts, cfg, 0)
 }
 
 // reserve takes one session slot for tenant and mints the session id.

@@ -1,6 +1,6 @@
 // Package session hosts long-lived, tenant-owned topologies behind the
 // serving layer. A session wraps a topology.Dynamic: the expensive build
-// happens once at creation (in any build mode), and churn arrives as a
+// happens once at creation, and churn arrives as a
 // stream of join/leave/move events repaired locally in the 2D-ball — the
 // ~18x-over-rebuild path the paper's locality argument promises, finally
 // reachable over the wire.
@@ -129,7 +129,6 @@ const (
 type Session struct {
 	ID      string
 	Tenant  string
-	Mode    string
 	Created time.Time
 
 	tel      *telemetry.Telemetry
@@ -171,11 +170,10 @@ type subscriber struct {
 
 // newSession wraps an already-built dynamic topology. The registry starts
 // the loop; the session does not know about quotas or peers.
-func newSession(id, tenant, mode string, dyn *topology.Dynamic, ringSize, maxNodes int, tel *telemetry.Telemetry) *Session {
+func newSession(id, tenant string, dyn *topology.Dynamic, ringSize, maxNodes int, tel *telemetry.Telemetry) *Session {
 	s := &Session{
 		ID:       id,
 		Tenant:   tenant,
-		Mode:     mode,
 		Created:  time.Now(),
 		tel:      tel,
 		maxNodes: maxNodes,
@@ -476,7 +474,6 @@ func (s *Session) snapshot() Snapshot {
 // and graph-level aggregates, without materializing points or edges.
 type Stats struct {
 	ID        string `json:"id"`
-	Mode      string `json:"mode"`
 	Gen       int64  `json:"gen"`
 	N         int    `json:"n"`
 	NumEdges  int    `json:"num_edges"`
@@ -491,7 +488,6 @@ func (s *Session) Stats(ctx context.Context) (Stats, error) {
 		g := s.dyn.Topology().N
 		st = Stats{
 			ID:        s.ID,
-			Mode:      s.Mode,
 			Gen:       s.gen,
 			N:         s.dyn.N(),
 			NumEdges:  g.NumEdges(),

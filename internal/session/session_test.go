@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -65,11 +66,47 @@ func TestRegistryGlobalCapAndFailedBuildReleasesSlot(t *testing.T) {
 	}
 
 	r2 := testRegistry(t, Config{MaxSessionsPerTenant: 1})
-	if _, err := r2.Create(context.Background(), "t", pointset.Generate(pointset.KindUniform, 50, 3), BuildSpec{Mode: "bogus"}); err == nil {
-		t.Fatal("bogus mode: want error")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r2.Create(cancelled, "t", pointset.Generate(pointset.KindUniform, 50, 3), BuildSpec{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: want context.Canceled, got %v", err)
 	}
 	// The failed build must not have consumed the tenant's only slot.
 	mustCreate(t, r2, "t", 50, 4, BuildSpec{})
+}
+
+// TestRegistryPanickedBuildReleasesSlot pins that a build which panics —
+// the builder's answer to duplicate positions — gives the tenant's slot
+// back before the panic reaches the caller's recover, on both the create
+// and the restore path. A leaked slot would lock the tenant out after
+// MaxSessionsPerTenant bad requests.
+func TestRegistryPanickedBuildReleasesSlot(t *testing.T) {
+	r := testRegistry(t, Config{MaxSessionsPerTenant: 2})
+	dup := pointset.Generate(pointset.KindUniform, 50, 3)
+	dup[7] = dup[3]
+	mustPanic := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: want a duplicate-position panic", label)
+			}
+		}()
+		f()
+	}
+	for i := 0; i < 3; i++ {
+		mustPanic("create", func() { _, _ = r.Create(context.Background(), "t", dup, BuildSpec{}) })
+	}
+	cp, err := mustCreate(t, r, "t", 50, 4, BuildSpec{}).Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.ID = "s-restored"
+	cp.Points[7] = cp.Points[3]
+	for i := 0; i < 3; i++ {
+		mustPanic("restore", func() { _, _ = r.Restore(context.Background(), cp) })
+	}
+	// One session is hosted; the tenant's second slot is still free.
+	mustCreate(t, r, "t", 50, 5, BuildSpec{})
 }
 
 func TestRegistryTenantScopedLookup(t *testing.T) {
@@ -390,19 +427,29 @@ func TestRegistryCloseIsDrain(t *testing.T) {
 	r.Close() // idempotent
 }
 
+// TestBuildModesProduceWorkingSessions hosts one session per build
+// strategy the builder picks from the input — one grid at n = 120, tiles
+// at n = 40000 — and applies an event to each.
 func TestBuildModesProduceWorkingSessions(t *testing.T) {
+	sizes := []int{120, 40000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
 	r := testRegistry(t, Config{})
-	for _, mode := range []string{"centralized", "parallel", "tiled"} {
-		s := mustCreate(t, r, "t", 120, 31, BuildSpec{Mode: mode})
+	for _, n := range sizes {
+		// The standard connectivity radius: a fixed formula instead of the
+		// global critical range, which would dominate the large case.
+		d := 1.6 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
+		s := mustCreate(t, r, "t", n, 31, BuildSpec{Range: d})
 		res, err := s.Apply(context.Background(), Event{Op: "join", X: 0.123, Y: 0.321})
 		if err != nil || res.Err != "" {
-			t.Fatalf("%s: join: %v / %s", mode, err, res.Err)
+			t.Fatalf("n=%d: join: %v / %s", n, err, res.Err)
 		}
-		if res.Gen != 1 || res.N != 121 {
-			t.Fatalf("%s: result %+v", mode, res)
+		if res.Gen != 1 || res.N != n+1 {
+			t.Fatalf("n=%d: result %+v", n, res)
 		}
 		if err := r.Delete("t", s.ID); err != nil {
-			t.Fatalf("%s: delete: %v", mode, err)
+			t.Fatalf("n=%d: delete: %v", n, err)
 		}
 	}
 }

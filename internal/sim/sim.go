@@ -152,18 +152,12 @@ type Config struct {
 	// Mutually exclusive with Churn and MACHoneycomb, which bypass the
 	// distributed protocol.
 	Dist *dist.Faults
-	// Workers caps the worker pool of centralized topology builds: > 0
-	// routes full rebuilds through topology.BuildThetaParallel with that
-	// many workers (0 keeps the sequential builder; ignored under Dist and
-	// Churn, which build incrementally or via the protocol engine). The
-	// same cap fans out the interference-set computation behind the random
-	// MAC; results are identical for every worker count.
+	// Workers caps the goroutines of centralized topology builds (0 keeps
+	// them sequential; ignored under Dist and Churn, which build
+	// incrementally or via the protocol engine). The same cap fans out the
+	// interference-set computation behind the random MAC; results are
+	// identical for every worker count.
 	Workers int
-	// Tiles > 0 routes full rebuilds through topology.BuildThetaTiled with
-	// a Tiles×Tiles tile grid (Workers sizing the tile pool). The built
-	// topology is identical to the sequential one; only peak memory and
-	// wall-clock change. Ignored under Dist and Churn.
-	Tiles int
 	// Seed drives all randomness of the run.
 	Seed int64
 	// Telemetry, when non-nil, records step-level metrics across every
@@ -310,18 +304,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				d = unitdisk.CriticalRange(pts) * cfg.RangeSlack
 			}
 			if churn {
-				tcfg := topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}
-				if cfg.Tiles > 0 {
-					// Build tile-sharded, then hand the (bit-identical)
-					// result to the incremental subsystem for repair.
-					top, err := topology.BuildThetaTiled(rctx, pts, tcfg, topology.TiledConfig{Tiles: cfg.Tiles, Workers: cfg.Workers})
-					if err != nil {
-						return err
-					}
-					dyn = topology.NewDynamicFrom(top)
-				} else {
-					dyn = topology.NewDynamic(pts, tcfg)
-				}
+				dyn = topology.NewDynamic(pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel})
 				install(dyn.Points(), dyn.Topology())
 				return nil
 			}
@@ -350,15 +333,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				install(pts, out.Top)
 				return nil
 			}
-			var top *topology.Topology
-			var err error
-			if cfg.Tiles > 0 {
-				top, err = topology.BuildThetaTiled(rctx, pts,
-					topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel},
-					topology.TiledConfig{Tiles: cfg.Tiles, Workers: cfg.Workers})
-			} else {
-				top, err = topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)
-			}
+			top, err := topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)
 			if err != nil {
 				return err
 			}

@@ -11,26 +11,43 @@ import (
 	"toporouting/internal/geom"
 )
 
-// Grid is an immutable uniform-grid index over a point set. The zero value
-// is not usable; construct with NewGrid.
+// Grid is a uniform-grid index over a point set, stored in flat CSR
+// arrays: bucket offsets plus one contiguous index slice, filled by a
+// counting sort. Fill reuses those arrays, so a caller that rebuilds an
+// index per call (a pooled build arena, a tile worker, the interference-set
+// computation) allocates nothing once grown. The zero Grid is empty; index
+// points with NewGrid or Fill.
+//
+// Visit order is deterministic: bucket-major, ascending point index within
+// each bucket.
 type Grid struct {
-	pts      []geom.Point
-	cell     float64
-	min      geom.Point
-	cols     int
-	rows     int
-	buckets  [][]int32 // indexed by row*cols+col
-	hasCells bool
+	pts   []geom.Point
+	cell  float64
+	min   geom.Point
+	cols  int
+	rows  int
+	start []int32 // bucket b occupies idx[start[b]:start[b+1]]
+	idx   []int32
+	cur   []int32 // fill cursors, retained as scratch
 }
 
-// NewGrid indexes pts with the given cell size. A non-positive cellSize is
-// replaced by a heuristic (bounding-box area / n, clamped). The index keeps a
-// reference to pts; callers must not mutate the slice afterwards.
+// NewGrid indexes pts with the given cell size (see Fill).
 func NewGrid(pts []geom.Point, cellSize float64) *Grid {
-	g := &Grid{pts: pts}
+	g := new(Grid)
+	g.Fill(pts, cellSize)
+	return g
+}
+
+// Fill (re)indexes pts with the given cell size, reusing the grid's
+// backing arrays. A non-positive cellSize is replaced by a heuristic
+// (bounding-box area / n, clamped). The grid keeps a reference to pts;
+// callers must not mutate the slice while the grid is in use.
+func (g *Grid) Fill(pts []geom.Point, cellSize float64) {
+	g.pts = pts
 	if len(pts) == 0 {
 		g.cell = 1
-		return g
+		g.cols, g.rows = 0, 0
+		return
 	}
 	min, max := pts[0], pts[0]
 	for _, p := range pts[1:] {
@@ -63,13 +80,35 @@ func NewGrid(pts []geom.Point, cellSize float64) *Grid {
 	g.min = min
 	g.cols = int(w/cellSize) + 1
 	g.rows = int(h/cellSize) + 1
-	g.buckets = make([][]int32, g.cols*g.rows)
-	g.hasCells = true
+
+	cells := g.cols * g.rows
+	g.start = growInt32(g.start, cells+1)
+	g.cur = growInt32(g.cur, cells)
+	g.idx = growInt32(g.idx, len(pts))
+	counts := g.cur
+	clear(counts)
+	for _, p := range pts {
+		counts[g.cellIndex(p)]++
+	}
+	g.start[0] = 0
+	for c := 0; c < cells; c++ {
+		g.start[c+1] = g.start[c] + counts[c]
+		counts[c] = g.start[c] // reuse as fill cursor
+	}
 	for i, p := range pts {
 		c := g.cellIndex(p)
-		g.buckets[c] = append(g.buckets[c], int32(i))
+		g.idx[counts[c]] = int32(i)
+		counts[c]++
 	}
-	return g
+}
+
+// growInt32 returns a slice of exactly length n, reusing s's backing array
+// when it is large enough.
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Len returns the number of indexed points.
@@ -80,6 +119,12 @@ func (g *Grid) Point(i int) geom.Point { return g.pts[i] }
 
 // CellSize returns the side length of the grid cells.
 func (g *Grid) CellSize() float64 { return g.cell }
+
+// Footprint returns the grid's retained backing size in bytes (excluding
+// the caller-owned point slice), for pool retention caps.
+func (g *Grid) Footprint() int {
+	return 4 * (cap(g.start) + cap(g.idx) + cap(g.cur))
+}
 
 func (g *Grid) cellIndex(p geom.Point) int {
 	col := int((p.X - g.min.X) / g.cell)
@@ -98,9 +143,10 @@ func (g *Grid) cellIndex(p geom.Point) int {
 }
 
 // ForEachWithin calls fn(j) for every indexed point j with |p, pts[j]| ≤ r.
-// The order of visits is deterministic (bucket-major, insertion order).
+// The order of visits is deterministic (bucket-major, ascending index). It
+// is safe for concurrent use by multiple goroutines once filled.
 func (g *Grid) ForEachWithin(p geom.Point, r float64, fn func(j int)) {
-	if !g.hasCells || r < 0 {
+	if g.cols == 0 || r < 0 {
 		return
 	}
 	r2 := r * r
@@ -116,7 +162,8 @@ func (g *Grid) ForEachWithin(p geom.Point, r float64, fn func(j int)) {
 	for row := r0; row <= r1; row++ {
 		base := row * g.cols
 		for col := c0; col <= c1; col++ {
-			for _, j := range g.buckets[base+col] {
+			b := base + col
+			for _, j := range g.idx[g.start[b]:g.start[b+1]] {
 				if geom.Dist2(p, g.pts[j]) <= r2 {
 					fn(int(j))
 				}
@@ -154,7 +201,7 @@ func (g *Grid) NeighborsOf(i int, r float64) []int {
 // arbitrarily far queries still find the true nearest point.
 func (g *Grid) Nearest(p geom.Point, skip func(j int) bool) (int, float64) {
 	best, bestD := -1, math.Inf(1)
-	if !g.hasCells {
+	if g.cols == 0 {
 		return best, bestD
 	}
 	// d0 is the distance from p to the grid's cell coverage; offsetting the

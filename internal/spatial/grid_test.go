@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -240,4 +241,111 @@ func TestDeterministicVisitOrder(t *testing.T) {
 			t.Fatal("visit order not deterministic")
 		}
 	}
+}
+
+// checkFill fills g with pts and checks every query against the
+// exact-distance scan in the visit order the builders rely on
+// (bucket-major, ascending index within a bucket). With oneBucket every
+// point shares a bucket, so visits must come in plain ascending order.
+func checkFill(t *testing.T, g *Grid, name string, pts []geom.Point, cell float64, query []geom.Point, r float64, oneBucket bool) {
+	t.Helper()
+	g.Fill(pts, cell)
+	if g.Len() != len(pts) {
+		t.Fatalf("%s: Len %d, want %d", name, g.Len(), len(pts))
+	}
+	for _, q := range query {
+		var want []int
+		for j, p := range pts {
+			if geom.Dist2(q, p) <= r*r {
+				want = append(want, j)
+			}
+		}
+		var got []int
+		g.ForEachWithin(q, r, func(j int) { got = append(got, j) })
+		if oneBucket {
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s query %v: got %v, want %v in ascending order", name, q, got, want)
+			}
+		} else if !sameSet(got, want) {
+			t.Fatalf("%s query %v: got %v, want %v", name, q, got, want)
+		}
+		g.ForEachWithin(q, -1, func(int) { t.Fatalf("%s: negative radius visited a point", name) })
+	}
+}
+
+func coincidentPoints(n int, p geom.Point) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = p
+	}
+	return pts
+}
+
+// The tests below cover the compact (CSR) layout and its Fill reuse: the
+// degenerate inputs a reused index meets, and refills that must not see an
+// earlier fill's stale indices.
+
+// TestCompactGridMatchesGrid refills one Grid across sets of varying size,
+// larger and smaller in turn, and checks that it answers range queries
+// exactly as a freshly built Grid over the same points — same indices, same
+// deterministic visit order.
+func TestCompactGridMatchesGrid(t *testing.T) {
+	var g Grid // refilled every seed: exercises reuse
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pts := randomPoints(1+rng.Intn(300), 10, seed)
+		ref := NewGrid(pts, 0)
+		g.Fill(pts, 0)
+		for q := 0; q < 50; q++ {
+			p := geom.Pt(rng.Float64()*12-1, rng.Float64()*12-1)
+			r := rng.Float64() * 3
+			var want, got []int
+			ref.ForEachWithin(p, r, func(j int) { want = append(want, j) })
+			g.ForEachWithin(p, r, func(j int) { got = append(got, j) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d query %d: refilled %v, fresh %v", seed, q, got, want)
+			}
+		}
+	}
+	checkFill(t, &g, "large", randomPoints(300, 10, 4), 0, []geom.Point{geom.Pt(5, 5), geom.Pt(0, 10), geom.Pt(12, -1)}, 2.5, false)
+	checkFill(t, &g, "smaller-refill", randomPoints(7, 10, 5), 0, []geom.Point{geom.Pt(5, 5), geom.Pt(1, 1)}, 6, false)
+}
+
+func TestCompactGridEmpty(t *testing.T) {
+	var g Grid
+	checkFill(t, &g, "empty", nil, 0, []geom.Point{geom.Pt(0, 0)}, 5, false)
+	var zero Grid
+	zero.ForEachWithin(geom.Pt(0, 0), 1, func(int) { t.Fatal("zero Grid visited a point") })
+	if j, _ := zero.Nearest(geom.Pt(0, 0), nil); j != -1 {
+		t.Fatalf("zero Grid Nearest = %d, want -1", j)
+	}
+}
+
+// TestCompactGridCoincident pins the zero-area-bounding-box path: all
+// points coincident collapse to a single cell, radius-0 queries at the
+// point see every index in ascending order, and queries elsewhere see none.
+func TestCompactGridCoincident(t *testing.T) {
+	var g Grid
+	checkFill(t, &g, "coincident", coincidentPoints(25, geom.Pt(-2.5, 8)), 0,
+		[]geom.Point{geom.Pt(-2.5, 8), geom.Pt(0, 0)}, 0, true)
+}
+
+// TestCompactGridOneCell forces every point into a single cell with an
+// oversized cellSize and checks queries still filter by exact distance.
+func TestCompactGridOneCell(t *testing.T) {
+	var g Grid
+	checkFill(t, &g, "one-cell", randomPoints(100, 1, 3), 100,
+		[]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(-0.2, 1.1), geom.Pt(0.9, 0.1)}, 0.4, true)
+}
+
+// TestSoAGridEdgeCases refills one Grid through the degenerate fills in
+// turn: an empty set, all points coincident in one cell, and a single
+// point.
+func TestSoAGridEdgeCases(t *testing.T) {
+	var g Grid
+	checkFill(t, &g, "empty", nil, 0, []geom.Point{geom.Pt(0, 0)}, 5, false)
+	checkFill(t, &g, "coincident", coincidentPoints(20, geom.Pt(3, 4)), 0,
+		[]geom.Point{geom.Pt(3, 4), geom.Pt(100, 100)}, 0, true)
+	checkFill(t, &g, "single", []geom.Point{geom.Pt(-7, 2)}, 0,
+		[]geom.Point{geom.Pt(-7, 2.5), geom.Pt(100, 100)}, 1, true)
 }

@@ -19,7 +19,7 @@ import (
 // (or handed to retaining code) past that point. The zero value is ready to
 // use. An arena is not safe for concurrent builds.
 type BuildArena struct {
-	grid    spatial.CompactGrid
+	grid    spatial.Grid
 	tabFlat []int32
 	tabRows [][]int32
 	yao     graph.Slab
@@ -67,14 +67,12 @@ func (a *BuildArena) Footprint() int {
 		a.grid.Footprint() + 48*len(a.seen)
 }
 
-// BuildThetaArena is BuildThetaContext building into ar's reusable storage.
-// Results are bit-identical to BuildTheta for every arena state and worker
-// count; only allocation behavior differs. The returned Topology aliases
-// the arena (see BuildArena) — callers own the release ordering: encode or
-// copy out everything needed before reusing ar.
+// BuildThetaArena is BuildThetaContext building into ar's reusable storage
+// (nil builds fresh, exactly as BuildThetaContext). Results are
+// bit-identical to BuildTheta for every arena state and worker count; only
+// allocation behavior differs. The returned Topology aliases the arena (see
+// BuildArena) — callers own the release ordering: encode or copy out
+// everything needed before reusing ar.
 func BuildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena) (*Topology, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	return buildThetaArena(ctx, pts, cfg, workers, ar)
+	return build(ctx, pts, cfg, workers, ar, 0)
 }

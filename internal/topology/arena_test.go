@@ -33,7 +33,7 @@ func TestBuildThetaArenaEquivalence(t *testing.T) {
 			cfg.Theta = DefaultTheta / 2 // vary k so table carves change shape
 		}
 		workers := 1 + trial%4
-		ref := BuildTheta(pts, cfg)
+		ref := singleGrid(pts, cfg)
 		got, err := BuildThetaArena(context.Background(), pts, cfg, workers, &ar)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"toporouting/internal/geom"
-	"toporouting/internal/graph"
 )
 
 // CheckDistinct enforces the paper's standing assumption of distinct node
@@ -32,29 +31,18 @@ func AssembleTables(pts []geom.Point, cfg Config, nearestOut, admitIn [][]int32)
 	if len(nearestOut) != n || len(admitIn) != n {
 		panic(fmt.Sprintf("topology: tables for %d/%d nodes, want %d", len(nearestOut), len(admitIn), n))
 	}
-	t := &Topology{
+	for u := 0; u < n; u++ {
+		if len(nearestOut[u]) != k || len(admitIn[u]) != k {
+			panic(fmt.Sprintf("topology: node %d has %d/%d sectors, want %d", u, len(nearestOut[u]), len(admitIn[u]), k))
+		}
+	}
+	return &Topology{
 		Pts:        pts,
 		Cfg:        cfg,
 		Sectors:    sectors,
 		NearestOut: nearestOut,
 		AdmitIn:    admitIn,
-		Yao:        graph.New(n),
-		N:          graph.New(n),
+		Yao:        closure(nearestOut, k, nil),
+		N:          closure(admitIn, k, nil),
 	}
-	for u := 0; u < n; u++ {
-		if len(nearestOut[u]) != k || len(admitIn[u]) != k {
-			panic(fmt.Sprintf("topology: node %d has %d/%d sectors, want %d", u, len(nearestOut[u]), len(admitIn[u]), k))
-		}
-		for _, v := range nearestOut[u] {
-			if v >= 0 {
-				t.Yao.AddEdge(u, int(v))
-			}
-		}
-		for _, w := range admitIn[u] {
-			if w >= 0 {
-				t.N.AddEdge(u, int(w))
-			}
-		}
-	}
-	return t
 }

@@ -234,16 +234,11 @@ func BuildThetaDistributed(pts []geom.Point, cfg Config) (*Topology, ProtocolSta
 
 	// Assemble the same artifact BuildTheta returns. The Yao graph is the
 	// undirected closure of the local selections.
-	yao := graph.New(n)
 	nearestOut := newSectorTable(n, k)
 	for u := range nodes {
 		copy(nearestOut[u], nodes[u].nearest)
-		for _, v := range nodes[u].nearest {
-			if v >= 0 {
-				yao.AddEdge(u, int(v))
-			}
-		}
 	}
+	yao := closure(nearestOut, k, nil)
 	t := &Topology{
 		Pts:        pts,
 		Cfg:        cfg,

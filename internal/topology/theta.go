@@ -137,7 +137,7 @@ func (s *phase1Scanner) visit(v int) {
 
 // scan processes rows [lo, hi), checking ctx every cancelStride rows. It
 // returns early (with rows partially filled) once the context dies; callers
-// check ctx.Err() after all ranges complete, as buildTheta always has.
+// check ctx.Err() after all ranges complete, as fillGrid does.
 func (s *phase1Scanner) scan(ctx context.Context, lo, hi int, idx withinIndex) {
 	t := s.t
 	fn := s.visit
@@ -152,7 +152,7 @@ func (s *phase1Scanner) scan(ctx context.Context, lo, hi int, idx withinIndex) {
 
 // admitRow recomputes node u's phase-2 admissions in place by gathering:
 // per sector of u, the nearest in-range w that selected u in phase 1. This
-// is the per-node (gather) formulation of the scatter loop in buildTheta —
+// is the per-node (gather) formulation of the scatter loop in fillGrid —
 // both compute the maximum of the same candidate set under the same strict
 // order, so they agree exactly.
 func (t *Topology) admitRow(u int, idx withinIndex) {
@@ -178,20 +178,18 @@ func (t *Topology) admitRow(u int, idx withinIndex) {
 // on an invalid configuration. The transmission graph G* is implicit: nodes
 // within distance Cfg.Range are mutually reachable.
 func BuildTheta(pts []geom.Point, cfg Config) *Topology {
-	t, _ := buildTheta(context.Background(), pts, cfg, 1)
+	t, _ := build(context.Background(), pts, cfg, 1, nil, 0)
 	return t
 }
 
 // BuildThetaContext is BuildTheta under a cancellation context: the build
 // checks ctx between row batches of every phase and returns (nil, ctx.Err())
 // promptly after cancellation, so a caller whose client went away stops
-// burning CPU mid-build. workers > 1 additionally fans phase 1 out as in
-// BuildThetaParallel (≤ 0 stays sequential).
+// burning CPU mid-build. workers caps the goroutines the build fans out
+// over (≤ 1 stays sequential). The topology is identical for every worker
+// count.
 func BuildThetaContext(ctx context.Context, pts []geom.Point, cfg Config, workers int) (*Topology, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	return buildTheta(ctx, pts, cfg, workers)
+	return build(ctx, pts, cfg, workers, nil, 0)
 }
 
 // cancelStride is how many per-node rows a build loop processes between
@@ -200,20 +198,18 @@ func BuildThetaContext(ctx context.Context, pts []geom.Point, cfg Config, worker
 // millisecond of work.
 const cancelStride = 256
 
-// buildTheta is the shared builder: workers > 1 fans the per-node phase-1
-// sector selection out over a worker pool. Results are identical for every
-// worker count — workers own disjoint node ranges and phase 1 is
-// embarrassingly parallel (each row reads only immutable positions).
-func buildTheta(ctx context.Context, pts []geom.Point, cfg Config, workers int) (*Topology, error) {
-	return buildThetaArena(ctx, pts, cfg, workers, nil)
-}
-
-// buildThetaArena is buildTheta with optional reusable backing storage: a
-// nil arena allocates everything fresh (the historical behavior), a non-nil
-// one recycles the spatial index, sector tables, graph slabs, and the
-// distinctness map across builds. Both paths run the same phase loops over
-// the same data layout, so outputs are bit-identical.
-func buildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena) (*Topology, error) {
+// build is the one ΘALG builder behind every entry point. It validates the
+// input, takes the sector tables (fresh, or recycled from ar when non-nil),
+// fills them, stitches the Yao graph and N from them, and records
+// telemetry. Only the fill varies, and it is chosen from the input: tiles
+// ≤ 0 asks tilesFor, which keeps every n ≤ 32768 on one spatial grid over
+// the whole point set (fillGrid) and cuts larger sets into k×k tiles with
+// 2D halos (fillTiles). Tests force tiles = 1 for the single-grid
+// reference and k > 1 for a given tiling. ΘALG is local, so every fill
+// yields bit-identical tables, and the shared stitch makes the graphs
+// (adjacency order included) bit-identical too. workers caps the fill's
+// goroutines.
+func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena, tiles int) (*Topology, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("topology: non-positive range %v", cfg.Range))
@@ -240,26 +236,74 @@ func buildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers 
 		t.NearestOut = newSectorTable(n, k)
 		t.AdmitIn = newSectorTable(n, k)
 	}
+	if workers < 1 {
+		workers = 1
+	}
+	if tiles <= 0 {
+		tiles = tilesFor(pts, cfg.Range)
+	}
 	tel := cfg.Telemetry
 	stopBuild := tel.StartPhase("topology.build")
 	ctx, spanBuild := telemetry.StartChild(ctx, "topology.build")
 	spanBuild.SetAttr("n", float64(n))
+	var err error
+	if tiles == 1 {
+		err = t.fillGrid(ctx, workers, ar)
+	} else {
+		spanBuild.SetAttr("tiles", float64(tiles))
+		err = t.fillTiles(ctx, tiles, workers, ar)
+	}
+	stopBuild()
+	if err != nil {
+		spanBuild.End()
+		return nil, err
+	}
+	spanBuild.SetAttr("edges", float64(t.N.NumEdges()))
+	spanBuild.SetAttr("max_degree", float64(t.N.MaxDegree()))
+	spanBuild.End()
+	if tel.Enabled() {
+		tel.Counter("topology.builds").Inc()
+		tel.Gauge("topology.edges").Set(float64(t.N.NumEdges()))
+		tel.Gauge("topology.yao_edges").Set(float64(t.Yao.NumEdges()))
+		tel.Gauge("topology.max_degree").Set(float64(t.N.MaxDegree()))
+	}
+	if tel.Tracing() {
+		fields := map[string]float64{
+			"n":          float64(n),
+			"edges":      float64(t.N.NumEdges()),
+			"yao_edges":  float64(t.Yao.NumEdges()),
+			"max_degree": float64(t.N.MaxDegree()),
+		}
+		name := ""
+		if tiles > 1 {
+			name = "tiled"
+			fields["tiles"] = float64(tiles)
+		}
+		tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Name: name, Fields: fields})
+	}
+	return t, nil
+}
+
+// fillGrid fills the sector tables from one spatial grid over the whole
+// point set and stitches both graphs, under the topology.phase1 and
+// topology.phase2 spans. Phase 1 fans out over up to workers goroutines
+// owning disjoint node ranges; each row reads only immutable positions, so
+// the result is identical for every worker count.
+func (t *Topology) fillGrid(ctx context.Context, workers int, ar *BuildArena) error {
+	n := len(t.Pts)
+	tel := t.Cfg.Telemetry
 
 	// Phase 1: every node selects, in each of its sectors, the nearest
 	// node within transmission range. This is purely local given the
 	// positions of in-range nodes (round 1 of the distributed protocol).
 	stopPhase1 := tel.StartPhase("topology.phase1")
 	_, spanP1 := telemetry.StartChild(ctx, "topology.phase1")
-	var idx withinIndex
+	var idx *spatial.Grid
 	if ar != nil {
-		// CompactGrid refills in place with the same bucket-major,
-		// ascending-index visit order as NewGrid (order never matters for the
-		// result — closer is a strict total order — but keeping it identical
-		// keeps the two paths trivially comparable).
-		ar.grid.Fill(pts, cfg.Range)
+		ar.grid.Fill(t.Pts, t.Cfg.Range)
 		idx = &ar.grid
 	} else {
-		idx = spatial.NewGrid(pts, cfg.Range)
+		idx = spatial.NewGrid(t.Pts, t.Cfg.Range)
 	}
 	if workers > n {
 		workers = n
@@ -282,29 +326,10 @@ func buildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers 
 	}
 	if err := ctx.Err(); err != nil {
 		stopPhase1()
-		stopBuild()
 		spanP1.End()
-		spanBuild.End()
-		return nil, err
+		return err
 	}
-
-	// Yao graph N₁: undirected closure of the phase-1 selections. The slab
-	// carve sizes rows at 2k: the final topology N never exceeds that
-	// (Lemma 2.1 bounds its degree by 4π/θ = 2k) and Yao rows rarely do
-	// (out-degree ≤ k; a high in-degree row spills to the heap, which is
-	// correct and merely allocates).
-	if ar != nil {
-		t.Yao = ar.yao.NewIn(n, 2*k)
-	} else {
-		t.Yao = graph.New(n)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range t.NearestOut[u] {
-			if v >= 0 {
-				t.Yao.AddEdge(u, int(v))
-			}
-		}
-	}
+	t.stitchYao(ar)
 	stopPhase1()
 	spanP1.SetAttr("yao_edges", float64(t.Yao.NumEdges()))
 	spanP1.End()
@@ -318,10 +343,8 @@ func buildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers 
 	for w := 0; w < n; w++ {
 		if w%cancelStride == 0 && ctx.Err() != nil {
 			stopPhase2()
-			stopBuild()
 			spanP2.End()
-			spanBuild.End()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		for _, v := range t.NearestOut[w] {
 			if v < 0 {
@@ -331,46 +354,61 @@ func buildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers 
 			// sector S(v, w).
 			s := t.SectorOf(int(v), w)
 			cur := t.AdmitIn[v][s]
-			if cur < 0 || closer(pts, int(v), w, int(cur)) {
+			if cur < 0 || closer(t.Pts, int(v), w, int(cur)) {
 				t.AdmitIn[v][s] = int32(w)
 			}
 		}
 	}
+	t.stitchN(ar)
+	stopPhase2()
+	spanP2.End()
+	return nil
+}
 
-	// Final topology: an edge for every admission, in either direction.
+// stitchYao materializes the Yao graph N₁ as the undirected closure of the
+// phase-1 selections, carving its rows from the arena's slab when ar is
+// non-nil.
+func (t *Topology) stitchYao(ar *BuildArena) {
+	var slab *graph.Slab
 	if ar != nil {
-		t.N = ar.fin.NewIn(n, 2*k)
-	} else {
-		t.N = graph.New(n)
+		slab = &ar.yao
 	}
-	for u := 0; u < n; u++ {
-		for _, w := range t.AdmitIn[u] {
-			if w >= 0 {
-				t.N.AddEdge(u, int(w))
+	t.Yao = closure(t.NearestOut, t.Sectors.Count(), slab)
+}
+
+// stitchN materializes the final topology N: an edge for every phase-2
+// admission, in either direction.
+func (t *Topology) stitchN(ar *BuildArena) {
+	var slab *graph.Slab
+	if ar != nil {
+		slab = &ar.fin
+	}
+	t.N = closure(t.AdmitIn, t.Sectors.Count(), slab)
+}
+
+// closure returns the undirected graph with an edge {u, v} for every entry
+// v ≥ 0 of row u of the n×k table tab, inserted in row-major order (which
+// fixes the adjacency order every builder reproduces). A non-nil slab
+// carves rows sized 2k: N never exceeds that (Lemma 2.1 bounds its
+// degree by 4π/θ = 2k) and Yao rows rarely do (out-degree ≤ k; a high
+// in-degree row spills to the heap, which is correct and merely
+// allocates).
+func closure(tab [][]int32, k int, slab *graph.Slab) *graph.Graph {
+	n := len(tab)
+	var g *graph.Graph
+	if slab != nil {
+		g = slab.NewIn(n, 2*k)
+	} else {
+		g = graph.New(n)
+	}
+	for u, row := range tab {
+		for _, v := range row {
+			if v >= 0 {
+				g.AddEdge(u, int(v))
 			}
 		}
 	}
-	stopPhase2()
-	spanP2.End()
-	stopBuild()
-	spanBuild.SetAttr("edges", float64(t.N.NumEdges()))
-	spanBuild.SetAttr("max_degree", float64(t.N.MaxDegree()))
-	spanBuild.End()
-	if tel.Enabled() {
-		tel.Counter("topology.builds").Inc()
-		tel.Gauge("topology.edges").Set(float64(t.N.NumEdges()))
-		tel.Gauge("topology.yao_edges").Set(float64(t.Yao.NumEdges()))
-		tel.Gauge("topology.max_degree").Set(float64(t.N.MaxDegree()))
-	}
-	if tel.Tracing() {
-		tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Fields: map[string]float64{
-			"n":          float64(n),
-			"edges":      float64(t.N.NumEdges()),
-			"yao_edges":  float64(t.Yao.NumEdges()),
-			"max_degree": float64(t.N.MaxDegree()),
-		}})
-	}
-	return t, nil
+	return g
 }
 
 // checkDistinct enforces the paper's standing assumption of distinct node

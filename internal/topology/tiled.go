@@ -2,14 +2,11 @@ package topology
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"toporouting/internal/geom"
-	"toporouting/internal/graph"
 	"toporouting/internal/spatial"
 	"toporouting/internal/telemetry"
 )
@@ -25,32 +22,26 @@ import (
 // sector tables can be computed entirely inside the tile's working set.
 // Stitching is then trivial — per-node tables are position-determined, so
 // tiles write disjoint rows of the global tables and the final edge
-// materialization is the same sequential loop BuildTheta runs, making the
+// materialization is the same stitch the single-grid fill runs, making the
 // output bit-identical (adjacency order included) for every tile grid and
 // worker count.
 
-// TiledConfig parameterizes BuildThetaTiled beyond the base Config.
-type TiledConfig struct {
-	// Tiles is the tile grid dimension k (the bounding box is cut into
-	// k×k tiles). ≤ 0 selects a heuristic from the node count and the
-	// transmission range: enough tiles that a tile's working set stays
-	// cache-sized, but never tiles narrower than 2D, where halo would
-	// dominate owned work.
-	Tiles int
-	// Workers is the tile-build pool size; ≤ 0 selects GOMAXPROCS. The
-	// output is identical for every worker count.
-	Workers int
-}
+// tileNodes is the owned-node target per tile: a tile's working set
+// (owned nodes, halo, local grid and tables) then stays cache-sized.
+const tileNodes = 32768
 
-// tilesFor is the Tiles ≤ 0 heuristic: aim for ~32k owned nodes per tile,
-// clamped so a tile is never narrower than 2D on its shorter axis.
-func tilesFor(n int, w, h, d float64) int {
-	k := int(math.Ceil(math.Sqrt(float64(n) / 32768)))
-	if k < 1 {
-		k = 1
+// tilesFor picks the tile grid dimension k for a build: ~tileNodes owned
+// nodes per tile, clamped so a tile is never narrower than 2D on its
+// shorter axis, where halo would dominate owned work. Every n ≤ tileNodes
+// gets k = 1 without looking at the positions.
+func tilesFor(pts []geom.Point, d float64) int {
+	k := int(math.Ceil(math.Sqrt(float64(len(pts)) / tileNodes)))
+	if k <= 1 {
+		return 1
 	}
+	tl := newTiling(pts, 1)
 	if d > 0 {
-		if m := int(math.Min(w, h) / (2 * d)); m < k {
+		if m := int(math.Min(tl.tw, tl.th) / (2 * d)); m < k {
 			k = m
 		}
 	}
@@ -198,12 +189,12 @@ func forEachTileNode(tl tiling, start, ids []int32, pts []geom.Point, t int, hal
 	}
 }
 
-// tileScratch is one worker's reusable per-tile state: the SoA copy of the
-// tile's working set, the CSR grid over it, and the local sector tables.
+// tileScratch is one worker's reusable per-tile state: a copy of the
+// tile's working set, the grid over it, and the local sector tables.
 // Reuse across tiles keeps steady-state tile processing allocation-free.
 type tileScratch struct {
-	st    *spatial.PointStore
-	grid  spatial.SoAGrid
+	pts   []geom.Point
+	grid  spatial.Grid
 	gids  []int32 // local index -> global id
 	p1ok  []bool  // local phase-1 row computed (node within D of the tile)
 	near  []int32 // nLocal × k local phase-1 table (local indices)
@@ -217,7 +208,7 @@ type tileScratch struct {
 func (sc *tileScratch) buildTile(ctx context.Context, t *Topology, tl tiling, start, ids []int32, tile int) (owned, halo int, err error) {
 	d := t.Cfg.Range
 	k := t.Sectors.Count()
-	sc.st.Reset()
+	sc.pts = sc.pts[:0]
 	sc.gids = sc.gids[:0]
 
 	// Gather owned nodes, then the ≤2D halo band. A phase-1 row is needed
@@ -230,14 +221,14 @@ func (sc *tileScratch) buildTile(ctx context.Context, t *Topology, tl tiling, st
 	sc.p1ok = sc.p1ok[:0]
 	forEachTileNode(tl, start, ids, t.Pts, tile, 2*d+tl.eps, func(id int32, own bool) {
 		p := t.Pts[id]
-		sc.st.Append(p)
+		sc.pts = append(sc.pts, p)
 		sc.gids = append(sc.gids, id)
 		sc.p1ok = append(sc.p1ok, own ||
 			(p.X >= x0-bandR && p.X <= x1+bandR && p.Y >= y0-bandR && p.Y <= y1+bandR))
 	})
-	nLocal := sc.st.Len()
+	nLocal := len(sc.pts)
 	nOwned := int(start[tile+1] - start[tile])
-	sc.grid.Fill(sc.st, d)
+	sc.grid.Fill(sc.pts, d)
 	sc.near = growTable(sc.near, nLocal*k)
 	sc.admit = growTable(sc.admit, k)
 
@@ -256,7 +247,7 @@ func (sc *tileScratch) buildTile(ctx context.Context, t *Topology, tl tiling, st
 		for s := range row {
 			row[s] = -1
 		}
-		pi := sc.st.At(i)
+		pi := sc.pts[i]
 		sc.grid.ForEachWithin(pi, d, func(j int) {
 			if j == i {
 				return
@@ -280,7 +271,7 @@ func (sc *tileScratch) buildTile(ctx context.Context, t *Topology, tl tiling, st
 		for s := range row {
 			row[s] = -1
 		}
-		pi := sc.st.At(i)
+		pi := sc.pts[i]
 		sc.grid.ForEachWithin(pi, d, func(j int) {
 			if j == i {
 				return
@@ -307,7 +298,7 @@ func (sc *tileScratch) buildTile(ctx context.Context, t *Topology, tl tiling, st
 // honoring u's per-node orientation when configured (orientations are
 // indexed by global id).
 func (sc *tileScratch) sectorOf(t *Topology, u, v int) int {
-	pu, pv := sc.st.At(u), sc.st.At(v)
+	pu, pv := sc.pts[u], sc.pts[v]
 	if t.Cfg.Orientations != nil {
 		return t.Sectors.IndexOfOriented(pu, pv, t.Cfg.Orientations[sc.gids[u]])
 	}
@@ -316,10 +307,9 @@ func (sc *tileScratch) sectorOf(t *Topology, u, v int) int {
 
 // closerLocal reports whether local node a is strictly preferred to local
 // node b as a neighbor of the node at pu — the same (distance, global id)
-// strict total order as closer, evaluated on the SoA copies (bit-identical
-// to the global coordinates in float64 mode).
+// strict total order as closer, evaluated on the local copies.
 func (sc *tileScratch) closerLocal(pu geom.Point, a, b int) bool {
-	da, db := sc.st.Dist2(pu, a), sc.st.Dist2(pu, b)
+	da, db := geom.Dist2(pu, sc.pts[a]), geom.Dist2(pu, sc.pts[b])
 	if da != db {
 		return da < db
 	}
@@ -341,66 +331,28 @@ func growTable(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// BuildThetaTiled runs ΘALG tile-sharded: the bounding box is cut into
-// k×k tiles, each tile's sector tables are computed independently over its
-// owned nodes plus a 2D halo (the locality radius of Section 2), and the
-// per-tile results are stitched into one topology. The output is
-// bit-identical to BuildTheta — tables, edges, and adjacency order — for
-// every tile grid and worker count (pinned by TestTiledEquivalence). Peak
-// memory is the global tables plus one cache-sized working set per worker,
-// instead of the single shared arena of BuildThetaParallel, which is what
-// admits n = 10⁶ builds. It panics on an invalid configuration and returns
-// (nil, ctx.Err()) promptly after cancellation.
-func BuildThetaTiled(ctx context.Context, pts []geom.Point, cfg Config, tc TiledConfig) (*Topology, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Range <= 0 {
-		panic(fmt.Sprintf("topology: non-positive range %v", cfg.Range))
-	}
-	checkDistinct(pts)
-	sectors := geom.NewSectors(cfg.Theta)
-	n := len(pts)
-	k := sectors.Count()
-	if cfg.Orientations != nil && len(cfg.Orientations) != n {
-		panic(fmt.Sprintf("topology: %d orientations for %d points", len(cfg.Orientations), n))
-	}
-	t := &Topology{
-		Pts:        pts,
-		Cfg:        cfg,
-		Sectors:    sectors,
-		NearestOut: newSectorTable(n, k),
-		AdmitIn:    newSectorTable(n, k),
-	}
-	tl := newTiling(pts, 1)
-	tiles := tc.Tiles
-	if tiles <= 0 {
-		tiles = tilesFor(n, tl.tw, tl.th, cfg.Range)
-	}
-	if tiles > 1 {
-		tl = newTiling(pts, tiles)
-	}
-	workers := tc.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// fillTiles fills the sector tables tile-sharded and stitches both graphs:
+// the bounding box is cut into tiles×tiles tiles, a pool of up to workers
+// goroutines computes each tile's rows over its owned nodes plus a 2D halo
+// (the locality radius of Section 2) under topology.tiles, and the graphs
+// are stitched from the global tables under topology.stitch. Peak memory
+// is the global tables plus one cache-sized working set per worker, which
+// is what admits n = 10⁶ builds.
+func (t *Topology) fillTiles(ctx context.Context, tiles, workers int, ar *BuildArena) error {
+	tel := t.Cfg.Telemetry
+	tl := newTiling(t.Pts, tiles)
 	nTiles := tl.k * tl.k
 	if workers > nTiles {
 		workers = nTiles
 	}
 
-	tel := cfg.Telemetry
-	stopBuild := tel.StartPhase("topology.build")
-	ctx, spanBuild := telemetry.StartChild(ctx, "topology.build")
-	spanBuild.SetAttr("n", float64(n))
-	spanBuild.SetAttr("tiles", float64(tl.k))
-	spanBuild.SetAttr("workers", float64(workers))
-
 	stopTiles := tel.StartPhase("topology.tiles")
 	_, spanTiles := telemetry.StartChild(ctx, "topology.tiles")
-	start, ids := tileAssign(pts, tl)
+	start, ids := tileAssign(t.Pts, tl)
 
 	// Tile pool: workers pull tile indices from a shared counter. Tiles
 	// write disjoint global rows, so scheduling order cannot affect the
-	// result; the first cancellation or panic wins and the rest drain.
+	// result; the first cancellation wins and the rest drain.
 	var (
 		next     atomic.Int64
 		firstErr atomic.Value
@@ -410,7 +362,7 @@ func BuildThetaTiled(ctx context.Context, pts []geom.Point, cfg Config, tc Tiled
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &tileScratch{st: spatial.NewPointStore(false)}
+			sc := new(tileScratch)
 			for {
 				tile := int(next.Add(1)) - 1
 				if tile >= nTiles || ctx.Err() != nil {
@@ -433,61 +385,22 @@ func BuildThetaTiled(ctx context.Context, pts []geom.Point, cfg Config, tc Tiled
 	stopTiles()
 	spanTiles.End()
 	if err := ctx.Err(); err != nil {
-		stopBuild()
-		spanBuild.End()
-		return nil, err
+		return err
 	}
 	if err, ok := firstErr.Load().(error); ok && err != nil {
-		stopBuild()
-		spanBuild.End()
-		return nil, err
+		return err
 	}
 
-	// Stitch: materialize the Yao graph and the final topology from the
-	// global tables with the exact loops BuildTheta runs, so edge sets and
-	// adjacency-list order are bit-identical to the single-arena build.
 	stopStitch := tel.StartPhase("topology.stitch")
 	_, spanStitch := telemetry.StartChild(ctx, "topology.stitch")
-	t.Yao = graph.New(n)
-	for u := 0; u < n; u++ {
-		for _, v := range t.NearestOut[u] {
-			if v >= 0 {
-				t.Yao.AddEdge(u, int(v))
-			}
-		}
-	}
-	t.N = graph.New(n)
-	for u := 0; u < n; u++ {
-		for _, w := range t.AdmitIn[u] {
-			if w >= 0 {
-				t.N.AddEdge(u, int(w))
-			}
-		}
-	}
+	t.stitchYao(ar)
+	t.stitchN(ar)
 	stopStitch()
 	spanStitch.SetAttr("edges", float64(t.N.NumEdges()))
 	spanStitch.End()
-
-	stopBuild()
-	spanBuild.SetAttr("edges", float64(t.N.NumEdges()))
-	spanBuild.SetAttr("max_degree", float64(t.N.MaxDegree()))
-	spanBuild.End()
 	if tel.Enabled() {
-		tel.Counter("topology.builds").Inc()
 		tel.Gauge("topology.tiles").Set(float64(tl.k))
 		tel.Gauge("topology.build_workers").Set(float64(workers))
-		tel.Gauge("topology.edges").Set(float64(t.N.NumEdges()))
-		tel.Gauge("topology.yao_edges").Set(float64(t.Yao.NumEdges()))
-		tel.Gauge("topology.max_degree").Set(float64(t.N.MaxDegree()))
 	}
-	if tel.Tracing() {
-		tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Name: "tiled", Fields: map[string]float64{
-			"n":          float64(n),
-			"tiles":      float64(tl.k),
-			"edges":      float64(t.N.NumEdges()),
-			"yao_edges":  float64(t.Yao.NumEdges()),
-			"max_degree": float64(t.N.MaxDegree()),
-		}})
-	}
-	return t, nil
+	return nil
 }

@@ -122,7 +122,8 @@ func FuzzTileAssign(f *testing.F) {
 			}
 		}
 
-		// With distinct points the whole construction must match BuildTheta.
+		// With distinct points the whole construction must match the
+		// single-grid build.
 		distinct := map[geom.Point]bool{}
 		for _, p := range pts {
 			distinct[p] = true
@@ -131,11 +132,11 @@ func FuzzTileAssign(f *testing.F) {
 			return
 		}
 		cfg := Config{Theta: math.Pi / 6, Range: d}
-		got, err := BuildThetaTiled(context.Background(), pts, cfg, TiledConfig{Tiles: k, Workers: 2})
+		got, err := build(context.Background(), pts, cfg, 2, nil, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := BuildTheta(append([]geom.Point(nil), pts...), cfg)
+		want := singleGrid(append([]geom.Point(nil), pts...), cfg)
 		if !reflect.DeepEqual(got.NearestOut, want.NearestOut) ||
 			!reflect.DeepEqual(got.AdmitIn, want.AdmitIn) ||
 			!reflect.DeepEqual(got.N, want.N) {

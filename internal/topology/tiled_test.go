@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 
 	"toporouting/internal/geom"
 	"toporouting/internal/pointset"
+	"toporouting/internal/telemetry"
 	"toporouting/internal/unitdisk"
 )
 
@@ -20,15 +22,26 @@ import (
 // tile — the hardest seam regime).
 var tileGrids = []int{1, 2, 4, 8}
 
-// checkTiledEquivalence asserts BuildThetaTiled ≡ BuildTheta on pts for
-// every tile grid, comparing the full construction state: both sector
-// tables, and the Yao and final graphs including adjacency-list order
-// (reflect.DeepEqual on the graphs sees the unexported adjacency).
+// singleGrid is the reference every equivalence test compares against: a
+// sequential build forced through the single-grid fill. Comparing against
+// an auto-selecting entry point would, at tiling sizes, compare the tiled
+// fill with itself.
+func singleGrid(pts []geom.Point, cfg Config) *Topology {
+	t, _ := build(context.Background(), pts, cfg, 1, nil, 1)
+	return t
+}
+
+// checkTiledEquivalence asserts that a build forced through every tile grid
+// equals the single-grid reference on pts, comparing the full
+// construction state: both sector tables, and the Yao and final graphs
+// including adjacency-list order (reflect.DeepEqual on the graphs sees the
+// unexported adjacency). k = 1 is the single-grid fill itself, run with
+// workers goroutines.
 func checkTiledEquivalence(t *testing.T, pts []geom.Point, cfg Config, workers int, label string) {
 	t.Helper()
-	want := BuildTheta(append([]geom.Point(nil), pts...), cfg)
+	want := singleGrid(append([]geom.Point(nil), pts...), cfg)
 	for _, k := range tileGrids {
-		got, err := BuildThetaTiled(context.Background(), pts, cfg, TiledConfig{Tiles: k, Workers: workers})
+		got, err := build(context.Background(), pts, cfg, workers, nil, k)
 		if err != nil {
 			t.Fatalf("%s k=%d: %v", label, k, err)
 		}
@@ -162,20 +175,20 @@ func TestTiledDegenerate(t *testing.T) {
 	}
 }
 
-// TestTiledHeuristicAndWorkerInvariance checks the Tiles ≤ 0 heuristic
-// path and that every worker count (including oversubscription far beyond
-// the tile count) produces the identical topology.
+// TestTiledHeuristicAndWorkerInvariance checks the tile heuristic path and
+// that every worker count (including oversubscription far beyond the tile
+// count) produces the identical topology.
 func TestTiledHeuristicAndWorkerInvariance(t *testing.T) {
 	pts := pointset.Generate(pointset.KindUniform, 400, 9)
 	d := unitdisk.CriticalRange(pts) * 1.3
 	cfg := Config{Theta: math.Pi / 6, Range: d}
-	want := BuildTheta(append([]geom.Point(nil), pts...), cfg)
-	for _, tc := range []TiledConfig{
-		{Tiles: 0, Workers: 0},  // both heuristics
+	want := singleGrid(append([]geom.Point(nil), pts...), cfg)
+	for _, tc := range []struct{ Tiles, Workers int }{
+		{Tiles: 0, Workers: 0},  // heuristic tiles, sequential
 		{Tiles: 3, Workers: 1},  // serial over a non-power-of-two grid
 		{Tiles: 5, Workers: 64}, // workers ≫ tiles
 	} {
-		got, err := BuildThetaTiled(context.Background(), pts, cfg, tc)
+		got, err := build(context.Background(), pts, cfg, tc.Workers, nil, tc.Tiles)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -206,7 +219,7 @@ func TestTiledCancellation(t *testing.T) {
 	pts := pointset.Generate(pointset.KindUniform, 500, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	top, err := BuildThetaTiled(ctx, pts, Config{Theta: math.Pi / 6, Range: 0.1}, TiledConfig{Tiles: 4, Workers: 2})
+	top, err := build(ctx, pts, Config{Theta: math.Pi / 6, Range: 0.1}, 2, nil, 4)
 	if top != nil || err != context.Canceled {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", top, err)
 	}
@@ -223,7 +236,7 @@ func TestDynamicAfterTiled(t *testing.T) {
 		pts := pointset.Generate(pointset.KindUniform, 80+int(seed)*10, seed)
 		d := unitdisk.CriticalRange(pts) * 1.3
 		cfg := Config{Theta: math.Pi / 6, Range: d}
-		tiled, err := BuildThetaTiled(context.Background(), append([]geom.Point(nil), pts...), cfg, TiledConfig{Tiles: 4, Workers: 2})
+		tiled, err := build(context.Background(), append([]geom.Point(nil), pts...), cfg, 2, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,12 +259,13 @@ func TestDynamicAfterTiled(t *testing.T) {
 }
 
 // TestTiledLargeSmoke is the scale certificate CI runs under -race: a
-// large uniform instance built tiled with 4 workers must match the
-// sequential build edge-for-edge and satisfy the Lemma 2.1 degree bound.
-// The default size keeps local runs quick; CI raises it via TILED_SMOKE_N
+// large uniform instance built by BuildThetaContext with 4 workers — tiled,
+// because the builder tiles at this size — must match the single-grid
+// build edge-for-edge and satisfy the Lemma 2.1 degree bound. The default
+// size is the smallest the builder tiles; CI raises it via TILED_SMOKE_N
 // (the serve workflow uses 100000).
 func TestTiledLargeSmoke(t *testing.T) {
-	n := 20000
+	n := 40000
 	if s := os.Getenv("TILED_SMOKE_N"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil {
@@ -267,11 +281,11 @@ func TestTiledLargeSmoke(t *testing.T) {
 	// fixed formula avoids the global CriticalRange computation at scale.
 	d := 1.6 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
 	cfg := Config{Theta: math.Pi / 6, Range: d}
-	tiled, err := BuildThetaTiled(context.Background(), pts, cfg, TiledConfig{Workers: 4})
+	tiled, err := BuildThetaContext(context.Background(), pts, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BuildTheta(append([]geom.Point(nil), pts...), cfg)
+	want := singleGrid(append([]geom.Point(nil), pts...), cfg)
 	if !reflect.DeepEqual(tiled.N, want.N) {
 		t.Fatalf("n=%d: tiled N diverged from sequential", n)
 	}
@@ -280,5 +294,83 @@ func TestTiledLargeSmoke(t *testing.T) {
 	}
 	if deg, bound := tiled.N.MaxDegree(), tiled.DegreeBound(); deg > bound {
 		t.Fatalf("n=%d: max degree %d exceeds the 4π/θ bound %d", n, deg, bound)
+	}
+}
+
+// buildSpans builds pts under a fresh tracer and returns the build's span
+// tree as sorted child names per parent name, plus the topology.
+func buildSpans(t *testing.T, pts []geom.Point, cfg Config, workers int) (map[string][]string, *Topology) {
+	t.Helper()
+	tracer := telemetry.NewTracer(nil, telemetry.NewTraceRing(1, 1))
+	ctx, root := tracer.Start(context.Background(), "test")
+	top, err := BuildThetaContext(ctx, pts, cfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	traces := tracer.Ring().Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("got %d traces, want 1", len(traces))
+	}
+	names := map[uint64]string{}
+	for _, s := range traces[0].Spans {
+		names[s.Span] = s.Name
+	}
+	tree := map[string][]string{}
+	for _, s := range traces[0].Spans {
+		if s.Parent != 0 {
+			tree[names[s.Parent]] = append(tree[names[s.Parent]], s.Name)
+		}
+	}
+	for _, kids := range tree {
+		sort.Strings(kids)
+	}
+	return tree, top
+}
+
+// TestBuildStrategySelection pins which fill the builder picks from the
+// input, by the spans it emits. At n = 2000 (every stateless request and
+// session the daemon serves at benchmark sizes) it is the single grid:
+// topology.build › topology.phase1, topology.phase2 — the names the
+// benchmark's per-layer metrics read. At n = 40000 uniform points it is
+// the tiling: topology.build › topology.tiles, one topology.tile per tile
+// and topology.stitch, and the tables equal a build forced through
+// the single-grid fill.
+func TestBuildStrategySelection(t *testing.T) {
+	pts := pointset.Generate(pointset.KindUniform, 2000, 3)
+	cfg := Config{Theta: math.Pi / 6, Range: unitdisk.CriticalRange(pts) * 1.3}
+	tree, _ := buildSpans(t, pts, cfg, 1)
+	if got, want := tree["test"], []string{"topology.build"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("n=2000: root children %v, want %v", got, want)
+	}
+	if got, want := tree["topology.build"], []string{"topology.phase1", "topology.phase2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("n=2000: build children %v, want %v", got, want)
+	}
+
+	if testing.Short() {
+		t.Skip("n=40000 tiled build skipped in -short mode")
+	}
+	const n = 40000
+	pts = pointset.Generate(pointset.KindUniform, n, 3)
+	cfg = Config{Theta: math.Pi / 6, Range: 1.6 * math.Sqrt(math.Log(n)/(math.Pi*n))}
+	k := tilesFor(pts, cfg.Range)
+	if k < 2 {
+		t.Fatalf("n=%d: tilesFor picked k=%d, want a tiling", n, k)
+	}
+	tree, got := buildSpans(t, pts, cfg, 2)
+	wantKids := []string{"topology.stitch"}
+	for i := 0; i < k*k; i++ {
+		wantKids = append(wantKids, "topology.tile")
+	}
+	wantKids = append(wantKids, "topology.tiles")
+	if got := tree["topology.build"]; !reflect.DeepEqual(got, wantKids) {
+		t.Fatalf("n=%d: build children %v, want %v", n, got, wantKids)
+	}
+	want := singleGrid(pts, cfg)
+	if !reflect.DeepEqual(got.NearestOut, want.NearestOut) || !reflect.DeepEqual(got.AdmitIn, want.AdmitIn) {
+		t.Fatalf("n=%d: tiled tables diverged from the single-grid build", n)
+	}
+	if !reflect.DeepEqual(got.N, want.N) || !reflect.DeepEqual(got.Yao, want.Yao) {
+		t.Fatalf("n=%d: tiled graphs diverged from the single-grid build", n)
 	}
 }

@@ -70,15 +70,9 @@ type SimulationOptions struct {
 	// the centralized builder, certifying each build's convergence.
 	// Mutually exclusive with ChurnEvery; requires MACGiven or MACRandom.
 	DistFaults *FaultPlan
-	// Workers > 0 caps the worker pool of full topology rebuilds
-	// (BuildNetworkParallel semantics); 0 keeps the sequential builder.
+	// Workers > 1 caps the worker pool of full topology rebuilds
+	// (BuildNetworkContext semantics); 0 keeps the build sequential.
 	Workers int
-	// Tiles > 0 routes full topology rebuilds through the tile-sharded
-	// builder (BuildNetworkTiled semantics) with a Tiles×Tiles grid; the
-	// built topology is identical, only peak memory and wall-clock change.
-	// Ignored under ChurnEvery and DistFaults, which build incrementally
-	// or via the protocol engine.
-	Tiles int
 	// Seed drives all randomness.
 	Seed int64
 	// Telemetry, when non-nil, records step-level metrics across every
@@ -185,7 +179,6 @@ func toSimConfig(opts SimulationOptions) (sim.Config, error) {
 		Churn:     sim.Churn{Every: opts.ChurnEvery, Moves: opts.ChurnMoves, StepSize: opts.ChurnStep},
 		Dist:      opts.DistFaults,
 		Workers:   opts.Workers,
-		Tiles:     opts.Tiles,
 		Seed:      opts.Seed,
 		Telemetry: opts.Telemetry,
 	}, nil

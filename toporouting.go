@@ -120,67 +120,10 @@ func (nw *Network) transmissionGraph() *graph.Graph {
 // invalid options or fewer than two points; it does not require G* to be
 // connected, but stretch evaluation reports disconnected pairs.
 func BuildNetwork(points []Point, opts Options) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top := topology.BuildTheta(points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry})
-	return &Network{
-		opts: o,
-		top:  top,
-	}, nil
+	return BuildNetworkContext(context.Background(), points, opts, 0, nil)
 }
 
-// BuildNetworkParallel is BuildNetwork with the per-node phase-1 sector
-// selection fanned out over a worker pool (workers ≤ 0 selects
-// GOMAXPROCS). The resulting topology is identical to BuildNetwork's for
-// every worker count; only wall-clock time changes.
-func BuildNetworkParallel(points []Point, opts Options, workers int) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top := topology.BuildThetaParallel(points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers)
-	return &Network{
-		opts:    o,
-		top:     top,
-		workers: workers,
-	}, nil
-}
-
-// BuildNetworkContext is BuildNetwork under a cancellation context:
-// the ΘALG build checks ctx between row batches of each phase, so a caller
-// whose request was cancelled (client disconnect, deadline, server drain)
-// stops the build promptly and receives ctx.Err(). workers > 0 additionally
-// fans phase 1 out over that many workers (BuildNetworkParallel semantics);
-// ≤ 0 keeps the sequential builder. The topology is identical to
-// BuildNetwork's for every worker count.
-func BuildNetworkContext(ctx context.Context, points []Point, opts Options, workers int) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top, err := topology.BuildThetaContext(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{
-		opts:    o,
-		top:     top,
-		workers: workers,
-	}, nil
-}
-
-// BuildArena is reusable backing storage for BuildNetworkArenaContext: the
+// BuildArena is reusable backing storage for BuildNetworkContext: the
 // spatial index, sector tables, adjacency slabs, and validation scratch of
 // a ΘALG build, recycled across builds. Serving layers pool arenas to make
 // the per-request build path effectively allocation-free. An arena is not
@@ -197,14 +140,21 @@ func NewBuildArena() *BuildArena { return new(BuildArena) }
 // pools can drop arenas that grew serving an outsized request.
 func (ar *BuildArena) Footprint() int { return ar.a.Footprint() }
 
-// BuildNetworkArenaContext is BuildNetworkContext building into ar's
-// reusable storage. The resulting network is bit-identical to
-// BuildNetworkContext's; only allocation behavior differs. The returned
-// Network aliases the arena's memory: it is valid only until the next build
+// BuildNetworkContext is BuildNetwork under a cancellation context: the
+// ΘALG build checks ctx between row batches, so a caller whose request was
+// cancelled (client disconnect, deadline, server drain) stops the build
+// promptly and receives ctx.Err(). workers caps the build's goroutines
+// (≤ 1 stays sequential) and the interference-set fan-out of the returned
+// network. How the build runs — one spatial grid, or tiles with 2D halos
+// for large point sets — follows from the input; the topology is identical
+// either way and for every worker count.
+//
+// A non-nil ar makes the build reuse its storage. The returned Network
+// then aliases the arena's memory: it is valid only until the next build
 // with ar, and must not be retained past that point (the lazily built
 // transmission graph G* is heap-allocated and exempt, but the topology
 // and its graphs are not).
-func BuildNetworkArenaContext(ctx context.Context, points []Point, opts Options, workers int, ar *BuildArena) (*Network, error) {
+func BuildNetworkContext(ctx context.Context, points []Point, opts Options, workers int, ar *BuildArena) (*Network, error) {
 	if len(points) < 2 {
 		return nil, errors.New("toporouting: need at least two points")
 	}
@@ -212,43 +162,11 @@ func BuildNetworkArenaContext(ctx context.Context, points []Point, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	top, err := topology.BuildThetaArena(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers, &ar.a)
-	if err != nil {
-		return nil, err
+	var tar *topology.BuildArena
+	if ar != nil {
+		tar = &ar.a
 	}
-	return &Network{
-		opts:    o,
-		top:     top,
-		workers: workers,
-	}, nil
-}
-
-// BuildNetworkTiled is BuildNetwork with the tile-sharded builder: the
-// point set's bounding box is cut into tiles×tiles tiles, each built
-// independently over a halo of boundary nodes (the 2D locality radius of
-// the paper's Section 2) by a pool of workers, then stitched. The topology
-// is bit-identical to BuildNetwork's for every tile grid and worker count;
-// what changes is peak memory — per-worker cache-sized working sets
-// instead of one shared arena — which is what admits million-node builds.
-// tiles ≤ 0 selects a density heuristic, workers ≤ 0 selects GOMAXPROCS.
-func BuildNetworkTiled(points []Point, opts Options, tiles, workers int) (*Network, error) {
-	return BuildNetworkTiledContext(context.Background(), points, opts, tiles, workers)
-}
-
-// BuildNetworkTiledContext is BuildNetworkTiled under a cancellation
-// context: tile workers check ctx between row batches, so a caller whose
-// request was cancelled stops the build promptly and receives ctx.Err().
-func BuildNetworkTiledContext(ctx context.Context, points []Point, opts Options, tiles, workers int) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top, err := topology.BuildThetaTiled(ctx, points,
-		topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry},
-		topology.TiledConfig{Tiles: tiles, Workers: workers})
+	top, err := topology.BuildThetaArena(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers, tar)
 	if err != nil {
 		return nil, err
 	}
@@ -535,9 +453,8 @@ func headSources(n, max int) []int {
 
 // InterferenceNumber computes the interference number I of N under the
 // network's guard zone Δ (Lemma 2.10: O(log n) whp for uniform random
-// nodes). Networks built with BuildNetworkParallel reuse the same worker
-// cap for the interference-set fan-out; the result is identical either
-// way.
+// nodes). Networks built with a worker cap reuse it for the
+// interference-set fan-out; the result is identical either way.
 func (nw *Network) InterferenceNumber() int {
 	m := interference.NewModel(nw.opts.Delta)
 	m.Workers = nw.workers
