@@ -16,11 +16,13 @@
 // reduced offered rate. 429 responses count as "shed", not as errors — they
 // are the server's backpressure working as designed.
 //
+// -mode picks the ΘALG build of -endpoint topology requests and applies
+// to no other endpoint.
+//
 // -endpoint session exercises the hosted-session subsystem instead of the
-// stateless endpoints: it creates one session (-n nodes, -mode build mode),
-// streams move events at -rps, interleaves a conditional GET (If-None-Match
-// with the last seen ETag) every 16th tick, and deletes the session at the
-// end. The report gains a "session" section with the event count, the
+// stateless endpoints: it creates one session (-n nodes), streams move
+// events at -rps, interleaves a conditional GET (If-None-Match with the
+// last seen ETag) every 16th tick, and deletes the session at the end. The report gains a "session" section with the event count, the
 // 304/delta/full breakdown of the reads, and the delta-hit ratio — the
 // fraction of reads the generation-numbered delta ring answered without a
 // full snapshot. Latency percentiles cover both event applies and reads.
@@ -162,7 +164,7 @@ func run() error {
 		n         = flag.Int("n", 60, "nodes per request")
 		dist      = flag.String("dist", "uniform", "point distribution")
 		steps     = flag.Int("steps", 50, "simulation steps (simulate endpoint)")
-		mode      = flag.String("mode", "centralized", "topology build mode")
+		mode      = flag.String("mode", "centralized", "build mode for -endpoint topology: centralized | distributed")
 		timeoutMS = flag.Int("timeout-ms", 5000, "per-request timeout_ms")
 		keyspace  = flag.Int("keyspace", 0, "repeated-pointset mode: draw seeds from this many distinct keys (0 = off)")
 		zipfS     = flag.Float64("zipf", 1.2, "Zipf exponent for keyspace/tenant draws (> 1; larger = hotter keys)")
@@ -192,7 +194,7 @@ func run() error {
 		}
 		samples, cr, elapsed, err := runMultiTenant(client, sessionOpts{
 			addr: *addr, rps: *rps, duration: *duration,
-			n: *n, dist: *dist, mode: *mode, timeoutMS: *timeoutMS,
+			n: *n, dist: *dist, timeoutMS: *timeoutMS,
 		}, *tenants, *zipfS)
 		if err != nil {
 			return err
@@ -202,7 +204,7 @@ func run() error {
 	} else if *endpoint == "session" {
 		samples, sess, elapsed, err := runSession(client, sessionOpts{
 			addr: *addr, rps: *rps, duration: *duration,
-			n: *n, dist: *dist, mode: *mode, timeoutMS: *timeoutMS,
+			n: *n, dist: *dist, timeoutMS: *timeoutMS,
 		})
 		if err != nil {
 			return err

@@ -33,7 +33,6 @@ type sessionOpts struct {
 	duration  time.Duration
 	n         int
 	dist      string
-	mode      string
 	timeoutMS int
 	tenant    string // X-Tenant-ID; empty = server default
 }
@@ -167,7 +166,7 @@ type event struct {
 
 func createSession(client *http.Client, opts sessionOpts) (id, etag string, err error) {
 	body, err := json.Marshal(map[string]any{
-		"dist": opts.dist, "n": opts.n, "mode": opts.mode, "timeout_ms": opts.timeoutMS,
+		"dist": opts.dist, "n": opts.n, "timeout_ms": opts.timeoutMS,
 	})
 	if err != nil {
 		return "", "", err

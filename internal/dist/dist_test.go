@@ -166,7 +166,7 @@ func TestTelemetryRecorded(t *testing.T) {
 	if got := tel.Counter("dist.msgs_dropped").Value(); got != out.Stats.Dropped {
 		t.Errorf("dist.msgs_dropped = %d, want %d", got, out.Stats.Dropped)
 	}
-	if tel.Histogram("dist.rounds").N() != 1 {
+	if tel.Histogram("dist.rounds").Snapshot().Count != 1 {
 		t.Error("dist.rounds histogram not observed")
 	}
 	var found bool

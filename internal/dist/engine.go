@@ -517,8 +517,8 @@ func (e *engine) record(tel *telemetry.Telemetry) {
 	tel.Counter("dist.transfers_expired").Add(st.Expired)
 	tel.Counter("dist.mailbox_dropped").Add(st.MailboxDropped)
 	tel.Counter("dist.crashes").Add(st.Crashes)
-	tel.Histogram("dist.rounds").Observe(float64(st.VTime))
-	tel.Histogram("dist.mailbox_high_water").Observe(float64(st.MailboxHighWater))
+	tel.BucketHistogram("dist.rounds", telemetry.DefCountBuckets).Observe(float64(st.VTime))
+	tel.BucketHistogram("dist.mailbox_high_water", telemetry.DefCountBuckets).Observe(float64(st.MailboxHighWater))
 	if tel.Tracing() {
 		tel.Emit(telemetry.Event{Layer: "dist", Kind: "build", Fields: map[string]float64{
 			"n":          float64(len(e.nodes)),

@@ -256,7 +256,6 @@ func (s *Server) execute(j *job) {
 	waitMS := float64(time.Since(j.created)) / float64(time.Millisecond)
 	tel := s.cfg.Telemetry
 	if tel.Enabled() {
-		tel.Histogram("server.queue_wait_ms").Observe(waitMS)
 		tel.BucketHistogram(
 			telemetry.LabeledName("server.job_wait_ms", "kind", j.kind),
 			telemetry.DefLatencyBuckets,

@@ -199,7 +199,10 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	enc := json.NewEncoder(w)
-	tel := s.cfg.Telemetry
+	applyMS := s.cfg.Telemetry.BucketHistogram(
+		telemetry.LabeledName("session.apply_ms", "tenant", tenant),
+		telemetry.DefLatencyBuckets,
+	)
 
 	// The first event's token was charged at admission.
 	charged := true
@@ -241,12 +244,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			emit(session.ApplyResult{Seq: seq, Op: ev.Op, Err: "stream closed: " + err.Error()})
 			break
 		}
-		if tel.Enabled() {
-			tel.BucketHistogram(
-				telemetry.LabeledName("session.apply_ms", "tenant", tenant),
-				telemetry.DefLatencyBuckets,
-			).Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-		}
+		applyMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 		res.Seq = seq
 		if !emit(res) {
 			break // client gone

@@ -131,8 +131,11 @@ type Session struct {
 	Tenant  string
 	Created time.Time
 
-	tel      *telemetry.Telemetry
 	maxNodes int
+
+	// Per-tenant instruments, resolved once at creation.
+	cEvents  *telemetry.Counter
+	hTouched *telemetry.BucketHistogram
 
 	cmds      chan func()
 	closed    chan struct{} // closed by Close: stop accepting work
@@ -175,8 +178,12 @@ func newSession(id, tenant string, dyn *topology.Dynamic, ringSize, maxNodes int
 		ID:       id,
 		Tenant:   tenant,
 		Created:  time.Now(),
-		tel:      tel,
 		maxNodes: maxNodes,
+		cEvents:  tel.Counter(telemetry.LabeledName("session.events", "tenant", tenant)),
+		hTouched: tel.BucketHistogram(
+			telemetry.LabeledName("session.repair_touched", "tenant", tenant),
+			telemetry.DefCountBuckets,
+		),
 		cmds:     make(chan func()),
 		closed:   make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -355,13 +362,8 @@ func (s *Session) apply(ev Event) ApplyResult {
 			delete(s.subs, id)
 		}
 	}
-	if s.tel.Enabled() {
-		s.tel.Counter(telemetry.LabeledName("session.events", "tenant", s.Tenant)).Inc()
-		s.tel.BucketHistogram(
-			telemetry.LabeledName("session.repair_touched", "tenant", s.Tenant),
-			telemetry.DefCountBuckets,
-		).Observe(float64(st.Touched))
-	}
+	s.cEvents.Inc()
+	s.hTouched.Observe(float64(st.Touched))
 	return res
 }
 

@@ -74,7 +74,7 @@ func TestChurnTelemetry(t *testing.T) {
 	if got := tel.Counter("topology.events").Value(); got != res.ChurnEvents {
 		t.Fatalf("topology.events = %d, want %d", got, res.ChurnEvents)
 	}
-	if tel.Histogram("topology.repair_touched").N() == 0 {
+	if tel.Histogram("topology.repair_touched").Snapshot().Count == 0 {
 		t.Fatal("repair_touched histogram empty")
 	}
 }

@@ -88,11 +88,11 @@ func TestRunTelemetryCounters(t *testing.T) {
 		t.Errorf("mac counters inconsistent: %v", m.Counters)
 	}
 	// Phase timers must have fired: one run, builds, and per-build phases.
-	if hs := m.Histograms["phase.sim.run.ms"]; hs.N != 1 {
-		t.Errorf("phase.sim.run.ms n = %d, want 1", hs.N)
+	if hs := m.Buckets["phase.sim.run.ms"]; hs.Count != 1 {
+		t.Errorf("phase.sim.run.ms n = %d, want 1", hs.Count)
 	}
-	if hs := m.Histograms["phase.topology.build.ms"]; hs.N != int(res.Rebuilds)+1 {
-		t.Errorf("phase.topology.build.ms n = %d, want %d", hs.N, res.Rebuilds+1)
+	if hs := m.Buckets["phase.topology.build.ms"]; hs.Count != uint64(res.Rebuilds)+1 {
+		t.Errorf("phase.topology.build.ms n = %d, want %d", hs.Count, res.Rebuilds+1)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestMonteCarloTelemetry(t *testing.T) {
 		}
 	}
 	m := tel.Snapshot()
-	if hs := m.Histograms["sim.mc.run_ms"]; hs.N != len(seeds) {
-		t.Errorf("sim.mc.run_ms n = %d, want %d", hs.N, len(seeds))
+	if hs := m.Buckets["sim.mc.run_ms"]; hs.Count != uint64(len(seeds)) {
+		t.Errorf("sim.mc.run_ms n = %d, want %d", hs.Count, len(seeds))
 	}
 	// Worker counters still aggregated into the shared registry.
 	var total int64

@@ -7,10 +7,10 @@ import (
 )
 
 // BucketHistogram is a fixed-bucket counting histogram — the Prometheus
-// histogram type, as opposed to the sample-retaining Histogram that backs
-// quantile summaries. Buckets are fixed at creation, observations are two
-// atomic adds, and snapshots produce cumulative counts, so it is safe (and
-// cheap) on the serving hot path where a mutexed sample append is not.
+// histogram type and the package's only histogram kind. Buckets are fixed
+// at creation, observations are a few atomic adds, and snapshots produce
+// cumulative counts, so memory never grows, an observation never waits on
+// a scrape, and the instrument stays true for the life of the process.
 type BucketHistogram struct {
 	bounds  []float64 // ascending upper bounds; an implicit +Inf follows
 	counts  []atomic.Uint64
@@ -91,6 +91,28 @@ func (h *BucketHistogram) Snapshot() BucketSnapshot {
 	return s
 }
 
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) the way Prometheus's
+// histogram_quantile does: find the first non-empty bucket whose
+// cumulative count reaches rank q·count and interpolate linearly inside it,
+// taking 0 as the lower edge of the first bucket. A rank in the +Inf bucket reports the highest finite bound. An
+// empty snapshot, or one with no finite bound, yields NaN.
+func (s BucketSnapshot) Quantile(q float64) float64 {
+	n := len(s.Cumulative)
+	if n < 2 || s.Cumulative[n-1] == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(s.Cumulative[n-1])
+	b := sort.Search(n, func(i int) bool { return s.Cumulative[i] > 0 && float64(s.Cumulative[i]) >= rank })
+	if b >= n-1 {
+		return s.Bounds[n-2]
+	}
+	lo, below := 0.0, uint64(0)
+	if b > 0 {
+		lo, below = s.Bounds[b-1], s.Cumulative[b-1]
+	}
+	return lo + (s.Bounds[b]-lo)*(rank-float64(below))/float64(s.Cumulative[b]-below)
+}
+
 // BucketHistogram returns the named fixed-bucket histogram, creating it
 // with bounds on first use (later callers get the existing instrument and
 // their bounds are ignored). The result is nil — and safely inert — when
@@ -99,16 +121,5 @@ func (t *Telemetry) BucketHistogram(name string, bounds []float64) *BucketHistog
 	if t == nil {
 		return nil
 	}
-	return t.reg.bucketHistogram(name, bounds)
-}
-
-func (r *registry) bucketHistogram(name string, bounds []float64) *BucketHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.bhists[name]
-	if !ok {
-		h = newBucketHistogram(bounds)
-		r.bhists[name] = h
-	}
-	return h
+	return instrument(t.reg, t.reg.histograms, name, func() *BucketHistogram { return newBucketHistogram(bounds) })
 }

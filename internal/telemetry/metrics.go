@@ -2,20 +2,18 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-
-	"toporouting/internal/stats"
 )
 
 // Metrics is a point-in-time snapshot of every instrument in a Telemetry
 // scope. It marshals cleanly to JSON (the -json / -metrics CLI surfaces)
 // and formats as a sorted table via String.
 type Metrics struct {
-	Counters   map[string]int64          `json:"counters,omitempty"`
-	Gauges     map[string]float64        `json:"gauges,omitempty"`
-	Histograms map[string]stats.Summary  `json:"histograms,omitempty"`
-	Buckets    map[string]BucketSnapshot `json:"buckets,omitempty"`
+	Counters map[string]int64          `json:"counters,omitempty"`
+	Gauges   map[string]float64        `json:"gauges,omitempty"`
+	Buckets  map[string]BucketSnapshot `json:"buckets,omitempty"`
 }
 
 // Snapshot captures the current value of every instrument. A nil scope
@@ -25,80 +23,34 @@ func (t *Telemetry) Snapshot() Metrics {
 	if t == nil {
 		return m
 	}
+	// Copy the instrument handles under the registry lock, then read them
+	// outside it so a scrape never holds up a first-use lookup.
 	r := t.reg
 	r.mu.Lock()
-	counters := make([]struct {
-		name string
-		c    *Counter
-	}, 0, len(r.counters))
-	for name, c := range r.counters {
-		counters = append(counters, struct {
-			name string
-			c    *Counter
-		}{name, c})
-	}
-	gauges := make([]struct {
-		name string
-		g    *Gauge
-	}, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges = append(gauges, struct {
-			name string
-			g    *Gauge
-		}{name, g})
-	}
-	hists := make([]struct {
-		name string
-		h    *Histogram
-	}, 0, len(r.hists))
-	for name, h := range r.hists {
-		hists = append(hists, struct {
-			name string
-			h    *Histogram
-		}{name, h})
-	}
-	bhists := make([]struct {
-		name string
-		h    *BucketHistogram
-	}, 0, len(r.bhists))
-	for name, h := range r.bhists {
-		bhists = append(bhists, struct {
-			name string
-			h    *BucketHistogram
-		}{name, h})
-	}
+	counters, gauges, hists := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.histograms)
 	r.mu.Unlock()
 
-	// Read instrument values outside the registry lock: histograms take
-	// their own mutex in Summary.
-	if len(counters) > 0 {
-		m.Counters = make(map[string]int64, len(counters))
-		for _, e := range counters {
-			m.Counters[e.name] = e.c.Value()
-		}
-	}
-	if len(gauges) > 0 {
-		m.Gauges = make(map[string]float64, len(gauges))
-		for _, e := range gauges {
-			m.Gauges[e.name] = e.g.Value()
-		}
-	}
-	if len(hists) > 0 {
-		m.Histograms = make(map[string]stats.Summary, len(hists))
-		for _, e := range hists {
-			m.Histograms[e.name] = e.h.Summary()
-		}
-	}
-	if len(bhists) > 0 {
-		m.Buckets = make(map[string]BucketSnapshot, len(bhists))
-		for _, e := range bhists {
-			m.Buckets[e.name] = e.h.Snapshot()
-		}
-	}
+	m.Counters = readAll(counters, (*Counter).Value)
+	m.Gauges = readAll(gauges, (*Gauge).Value)
+	m.Buckets = readAll(hists, (*BucketHistogram).Snapshot)
 	return m
 }
 
-// String renders the snapshot as a name-sorted text table.
+// readAll maps every instrument through read; nil when there are none, so
+// empty kinds stay out of the JSON snapshot.
+func readAll[I, V any](m map[string]I, read func(I) V) map[string]V {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]V, len(m))
+	for k, inst := range m {
+		out[k] = read(inst)
+	}
+	return out
+}
+
+// String renders the snapshot as a name-sorted text table. Histogram
+// quantiles are bucket-interpolated estimates (BucketSnapshot.Quantile).
 func (m Metrics) String() string {
 	var b strings.Builder
 	for _, name := range sortedKeys(m.Counters) {
@@ -107,18 +59,14 @@ func (m Metrics) String() string {
 	for _, name := range sortedKeys(m.Gauges) {
 		fmt.Fprintf(&b, "gauge      %-36s %g\n", name, m.Gauges[name])
 	}
-	for _, name := range sortedKeys(m.Histograms) {
-		s := m.Histograms[name]
-		fmt.Fprintf(&b, "histogram  %-36s n=%d min=%.3f p50=%.3f p95=%.3f max=%.3f mean=%.3f\n",
-			name, s.N, s.Min, s.P50, s.P95, s.Max, s.Mean)
-	}
 	for _, name := range sortedKeys(m.Buckets) {
 		s := m.Buckets[name]
 		mean := 0.0
 		if s.Count > 0 {
 			mean = s.Sum / float64(s.Count)
 		}
-		fmt.Fprintf(&b, "buckets    %-36s n=%d sum=%.3f mean=%.3f\n", name, s.Count, s.Sum, mean)
+		fmt.Fprintf(&b, "histogram  %-36s n=%d p50=%.3f p95=%.3f mean=%.3f sum=%.3f\n",
+			name, s.Count, s.Quantile(0.5), s.Quantile(0.95), mean, s.Sum)
 	}
 	return b.String()
 }

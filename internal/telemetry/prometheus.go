@@ -19,9 +19,8 @@ import (
 // LabeledName — and each distinct label set becomes one series of the
 // shared family. Instrument kinds map to exposition types: Counter →
 // counter, Gauge → gauge, BucketHistogram → histogram (cumulative "le"
-// buckets, _sum, _count), and the sample-retaining Histogram → summary
-// (quantile series from its stats.Summary, with _sum estimated as
-// mean·count since raw sums are not retained).
+// buckets, _sum, _count). No summary family is written; quantiles are
+// left to the scraper's histogram_quantile.
 
 // LabeledName renders an instrument name with an attached label set, e.g.
 // LabeledName("http.requests", "code", "200", "endpoint", "/v1/topology")
@@ -114,16 +113,16 @@ func promFloat(v float64) string {
 }
 
 // series is one exposition line under a family. The sort key is semantic,
-// not lexicographic: series group by their identifying labels (le/quantile
-// excluded), data rows order by their numeric le/quantile (+Inf last), and
+// not lexicographic: series group by their identifying labels (le
+// excluded), buckets order by their numeric le (+Inf last), and
 // _sum/_count trail their buckets.
 type series struct {
 	suffix string // appended to the family name (_bucket, _sum, _count, "")
 	labels string
 	value  string
-	group  string  // label block minus the le/quantile pair
+	group  string  // label block minus the le pair
 	rank   int     // 0 = data row, 1 = _sum, 2 = _count
-	sub    float64 // le or quantile value within rank 0
+	sub    float64 // le value within rank 0
 }
 
 type family struct {
@@ -158,24 +157,6 @@ func WritePrometheus(w io.Writer, t *Telemetry) error {
 	for name, v := range m.Gauges {
 		fam, labels := promFamily(name)
 		add(fam, "gauge", series{labels: labels, group: labels, value: promFloat(v)})
-	}
-	for name, s := range m.Histograms {
-		fam, labels := promFamily(name)
-		if s.N > 0 {
-			for _, q := range []struct {
-				q float64
-				v float64
-			}{{0.5, s.P50}, {0.9, s.P90}, {0.95, s.P95}, {0.99, s.P99}} {
-				add(fam, "summary", series{
-					labels: withLabels(labels, "quantile", promFloat(q.q)),
-					group:  labels, sub: q.q, value: promFloat(q.v),
-				})
-			}
-		}
-		add(fam, "summary", series{suffix: "_sum", labels: labels, group: labels, rank: 1,
-			value: promFloat(s.Mean * float64(s.N))})
-		add(fam, "summary", series{suffix: "_count", labels: labels, group: labels, rank: 2,
-			value: strconv.Itoa(s.N)})
 	}
 	for name, s := range m.Buckets {
 		fam, labels := promFamily(name)

@@ -10,8 +10,8 @@ import (
 // TestWritePrometheusGolden pins the exposition byte-for-byte for a small
 // registry: deterministic ordering (families name-sorted, series
 // label-sorted), the toporouting_ prefix, sanitized names, labeled series
-// sharing one family, cumulative histogram buckets with +Inf, and the
-// sample histogram rendered as a summary.
+// sharing one family, cumulative histogram buckets with +Inf, and a named
+// latency histogram rendered with the default latency buckets.
 func TestWritePrometheusGolden(t *testing.T) {
 	tel := New(nil)
 	tel.Counter("server.jobs_admitted").Add(3)
@@ -22,7 +22,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(0.5)  // ≤1
 	h.Observe(7)    // ≤10
 	h.Observe(2000) // overflow → +Inf only
-	sh := tel.Histogram("server.queue_wait_ms")
+	sh := tel.Histogram("phase.topology.build.ms")
 	sh.Observe(2)
 	sh.Observe(4)
 
@@ -41,17 +41,28 @@ toporouting_http_latency_ms_count 3
 # TYPE toporouting_http_requests counter
 toporouting_http_requests{code="200",endpoint="/v1/topology"} 2
 toporouting_http_requests{code="429",endpoint="/v1/topology"} 1
+# TYPE toporouting_phase_topology_build_ms histogram
+toporouting_phase_topology_build_ms_bucket{le="0.5"} 0
+toporouting_phase_topology_build_ms_bucket{le="1"} 0
+toporouting_phase_topology_build_ms_bucket{le="2.5"} 1
+toporouting_phase_topology_build_ms_bucket{le="5"} 2
+toporouting_phase_topology_build_ms_bucket{le="10"} 2
+toporouting_phase_topology_build_ms_bucket{le="25"} 2
+toporouting_phase_topology_build_ms_bucket{le="50"} 2
+toporouting_phase_topology_build_ms_bucket{le="100"} 2
+toporouting_phase_topology_build_ms_bucket{le="250"} 2
+toporouting_phase_topology_build_ms_bucket{le="500"} 2
+toporouting_phase_topology_build_ms_bucket{le="1000"} 2
+toporouting_phase_topology_build_ms_bucket{le="2500"} 2
+toporouting_phase_topology_build_ms_bucket{le="5000"} 2
+toporouting_phase_topology_build_ms_bucket{le="10000"} 2
+toporouting_phase_topology_build_ms_bucket{le="+Inf"} 2
+toporouting_phase_topology_build_ms_sum 6
+toporouting_phase_topology_build_ms_count 2
 # TYPE toporouting_server_jobs_admitted counter
 toporouting_server_jobs_admitted 3
 # TYPE toporouting_server_queue_depth gauge
 toporouting_server_queue_depth 5
-# TYPE toporouting_server_queue_wait_ms summary
-toporouting_server_queue_wait_ms{quantile="0.5"} 3
-toporouting_server_queue_wait_ms{quantile="0.9"} 3.8
-toporouting_server_queue_wait_ms{quantile="0.95"} 3.9
-toporouting_server_queue_wait_ms{quantile="0.99"} 3.98
-toporouting_server_queue_wait_ms_sum 6
-toporouting_server_queue_wait_ms_count 2
 `
 	if got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

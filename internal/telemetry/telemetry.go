@@ -1,23 +1,25 @@
 // Package telemetry is the observability layer of the stack: counters,
-// gauges, sample histograms (summarized with internal/stats), named phase
-// timers, and a pluggable event Sink with a buffered JSONL implementation
-// for step-level traces. Every layer — ΘALG builds in internal/topology,
-// MAC rounds in internal/mac, the (T,γ)-balancing router in
-// internal/routing, and the simulation loop in internal/sim — records into
-// a *Telemetry handed down from the caller.
+// gauges, fixed-bucket histograms, named phase timers, and a pluggable
+// event Sink with a buffered JSONL implementation for step-level traces.
+// Every layer — ΘALG builds in internal/topology, MAC rounds in
+// internal/mac, the (T,γ)-balancing router in internal/routing, and the
+// simulation loop in internal/sim — records into a *Telemetry handed down
+// from the caller.
 //
 // The zero cost contract: a nil *Telemetry is a valid, fully inert
 // instance. Every method has a nil-receiver fast path, instrument handles
-// (*Counter, *Gauge, *Histogram) obtained from a nil *Telemetry are nil and
-// their record methods no-op, and StartPhase returns a shared no-op closure
-// — so instrumented hot paths pay only a nil check and allocate nothing
-// when telemetry is disabled.
+// (*Counter, *Gauge, *BucketHistogram) obtained from a nil *Telemetry are
+// nil and their record methods no-op, and StartPhase returns a shared
+// no-op closure — so instrumented hot paths pay only a nil check and
+// allocate nothing when telemetry is disabled.
 //
-// Concurrency: counters and gauges are atomic, histograms and sinks are
+// Concurrency: every instrument is a fixed set of atomics and sinks are
 // mutex-guarded, so one *Telemetry may be shared by concurrent simulations
 // (the Monte-Carlo runner does exactly that: aggregate instruments are
 // shared while per-step tracing is suppressed in workers via WithoutTrace,
 // and per-run trace events are emitted seed-ordered by the runner itself).
+// Instrument memory is fixed at creation, so no instrument freezes or
+// grows however long the process records into it.
 package telemetry
 
 import (
@@ -25,8 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"toporouting/internal/stats"
 )
 
 // Telemetry is one recording scope: a shared instrument registry plus an
@@ -75,7 +75,7 @@ func (t *Telemetry) Counter(name string) *Counter {
 	if t == nil {
 		return nil
 	}
-	return t.reg.counter(name)
+	return instrument(t.reg, t.reg.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use. The result is
@@ -84,16 +84,13 @@ func (t *Telemetry) Gauge(name string) *Gauge {
 	if t == nil {
 		return nil
 	}
-	return t.reg.gauge(name)
+	return instrument(t.reg, t.reg.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
-// Histogram returns the named histogram, creating it on first use. The
-// result is nil — and safely inert — when t is nil.
-func (t *Telemetry) Histogram(name string) *Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.reg.histogram(name)
+// Histogram returns the named latency histogram: BucketHistogram(name,
+// DefLatencyBuckets). The result is nil — and safely inert — when t is nil.
+func (t *Telemetry) Histogram(name string) *BucketHistogram {
+	return t.BucketHistogram(name, DefLatencyBuckets)
 }
 
 // Emit sends ev to the trace sink, stamping TMS (milliseconds since the
@@ -113,7 +110,7 @@ func (t *Telemetry) Emit(ev Event) {
 var nopStop = func() {}
 
 // StartPhase starts a named phase timer and returns its stop function.
-// Stopping records the elapsed milliseconds into histogram
+// Stopping records the elapsed milliseconds into latency histogram
 // "phase.<name>.ms" and, when tracing, emits a {kind: "phase"} event.
 // Typical use:
 //
@@ -124,7 +121,7 @@ func (t *Telemetry) StartPhase(name string) func() {
 	if t == nil {
 		return nopStop
 	}
-	h := t.reg.histogram("phase." + name + ".ms")
+	h := t.Histogram("phase." + name + ".ms")
 	t0 := time.Now()
 	return func() {
 		ms := float64(time.Since(t0)) / float64(time.Millisecond)
@@ -187,100 +184,31 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// maxHistogramSamples bounds histogram memory; observations beyond it are
-// counted but not retained (Summary then reflects the retained prefix).
-const maxHistogramSamples = 1 << 20
-
-// Histogram retains raw float64 observations and summarizes them with
-// internal/stats.
-type Histogram struct {
-	mu       sync.Mutex
-	samples  []float64
-	overflow int64
-}
-
-// Observe records one sample (no-op on a nil histogram).
-func (h *Histogram) Observe(x float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	if len(h.samples) < maxHistogramSamples {
-		h.samples = append(h.samples, x)
-	} else {
-		h.overflow++
-	}
-	h.mu.Unlock()
-}
-
-// N returns the number of retained samples (0 on a nil histogram).
-func (h *Histogram) N() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Summary returns the stats.Summary of the retained samples.
-func (h *Histogram) Summary() stats.Summary {
-	if h == nil {
-		return stats.Summary{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return stats.Summarize(h.samples)
-}
-
 // registry is the shared name → instrument store behind a Telemetry scope
 // and all its WithoutTrace views.
 type registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	bhists   map[string]*BucketHistogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	histograms map[string]*BucketHistogram
 }
 
 func newRegistry() *registry {
 	return &registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		bhists:   make(map[string]*BucketHistogram),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		histograms: make(map[string]*BucketHistogram),
 	}
 }
 
-func (r *registry) counter(name string) *Counter {
+// instrument returns m[name], creating it with mk on first use.
+func instrument[T any](r *registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
+	v, ok := m[name]
 	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+		v = mk()
+		m[name] = v
 	}
-	return c
-}
-
-func (r *registry) gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-func (r *registry) histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return v
 }

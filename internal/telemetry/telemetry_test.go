@@ -43,12 +43,12 @@ func TestNilTelemetryIsInert(t *testing.T) {
 	}
 	h := tel.Histogram("x")
 	h.Observe(1)
-	if h.N() != 0 || h.Summary().N != 0 {
+	if h.Snapshot().Count != 0 {
 		t.Fatal("nil histogram recorded")
 	}
 	tel.Emit(Event{Kind: "step"})
 	tel.StartPhase("p")() // must not panic
-	if m := tel.Snapshot(); m.Counters != nil || m.Gauges != nil || m.Histograms != nil {
+	if m := tel.Snapshot(); m.Counters != nil || m.Gauges != nil || m.Buckets != nil {
 		t.Fatal("nil telemetry snapshot is non-empty")
 	}
 }
@@ -90,8 +90,8 @@ func TestInstrumentsAndSnapshot(t *testing.T) {
 	if m.Gauges["g"] != 2.5 {
 		t.Fatalf("snapshot gauges = %v", m.Gauges)
 	}
-	hs := m.Histograms["h"]
-	if hs.N != 10 || hs.Min != 0 || hs.Max != 9 || math.Abs(hs.Mean-4.5) > 1e-12 {
+	hs := m.Buckets["h"]
+	if hs.Count != 10 || math.Abs(hs.Sum/float64(hs.Count)-4.5) > 1e-12 {
 		t.Fatalf("histogram summary = %+v", hs)
 	}
 	out := m.String()
@@ -107,7 +107,7 @@ func TestPhaseTimerRecords(t *testing.T) {
 	tel := New(sink)
 	stop := tel.StartPhase("unit")
 	stop()
-	if n := tel.Histogram("phase.unit.ms").N(); n != 1 {
+	if n := tel.Histogram("phase.unit.ms").Snapshot().Count; n != 1 {
 		t.Fatalf("phase histogram has %d samples, want 1", n)
 	}
 	evs := sink.Events()
@@ -226,17 +226,88 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := tel.Gauge("g").Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %v, want %d", got, workers*perWorker)
 	}
-	if got := tel.Histogram("h").N(); got != workers*perWorker {
+	if got := tel.Histogram("h").Snapshot().Count; got != workers*perWorker {
 		t.Fatalf("histogram n = %d, want %d", got, workers*perWorker)
 	}
 }
 
-func TestHistogramOverflowCap(t *testing.T) {
-	h := &Histogram{}
-	h.samples = make([]float64, maxHistogramSamples)
+// TestHistogramSoak feeds a named histogram well past 2²⁰ observations
+// and checks it still sees every one: the count, a tail quantile that
+// must move into the bucket of the late values, and the exposition's
+// _count all track the full stream.
+func TestHistogramSoak(t *testing.T) {
+	const early, late = 1 << 20, 1 << 18
+	tel := New(nil)
+	h := tel.Histogram("soak.ms")
+	for i := 0; i < early; i++ {
+		h.Observe(float64(i % 1000))
+	}
+	for i := 0; i < late; i++ {
+		h.Observe(5000)
+	}
+	s := h.Snapshot()
+	if s.Count != early+late {
+		t.Fatalf("count = %d, want %d", s.Count, early+late)
+	}
+	// 5000 lands in the (2500, 5000] bucket of DefLatencyBuckets.
+	if p99 := s.Quantile(0.99); p99 <= 2500 || p99 > 5000 {
+		t.Fatalf("p99 = %v, want it in the late values' bucket (2500, 5000]", p99)
+	}
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, tel); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count float64 = -1
+	for _, ps := range samples {
+		if ps.Name == "toporouting_soak_ms_count" {
+			count = ps.Value
+		}
+	}
+	if count != early+late {
+		t.Fatalf("exposition _count = %v, want %d", count, early+late)
+	}
+}
+
+func TestBucketQuantile(t *testing.T) {
+	if q := (BucketSnapshot{}).Quantile(0.5); !math.IsNaN(q) {
+		t.Errorf("empty snapshot quantile = %v, want NaN", q)
+	}
+	if q := New(nil).BucketHistogram("empty", []float64{1, 10}).Snapshot().Quantile(0.5); !math.IsNaN(q) {
+		t.Errorf("unobserved histogram quantile = %v, want NaN", q)
+	}
+
+	// Every observation in one bucket: linear interpolation across (10, 20].
+	h := New(nil).BucketHistogram("one", []float64{10, 20, 30})
+	for i := 0; i < 4; i++ {
+		h.Observe(15)
+	}
+	s := h.Snapshot()
+	for _, c := range []struct{ q, want float64 }{{0, 10}, {0.25, 12.5}, {0.5, 15}, {1, 20}} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("one-bucket Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	// The first bucket interpolates up from 0.
 	h.Observe(1)
-	if len(h.samples) != maxHistogramSamples || h.overflow != 1 {
-		t.Fatalf("overflow not applied: len=%d overflow=%d", len(h.samples), h.overflow)
+	if got := h.Snapshot().Quantile(0.1); got != 5 {
+		t.Errorf("first-bucket Quantile(0.1) = %v, want 5", got)
+	}
+
+	// Ranks in the +Inf bucket report the highest finite bound.
+	over := New(nil).BucketHistogram("over", []float64{1, 10})
+	for _, x := range []float64{0.5, 0.5, 1e6, 1e6} {
+		over.Observe(x)
+	}
+	so := over.Snapshot()
+	if got := so.Quantile(0.99); got != 10 {
+		t.Errorf("+Inf-bucket Quantile(0.99) = %v, want 10", got)
+	}
+	if got := so.Quantile(0.25); got != 0.5 {
+		t.Errorf("Quantile(0.25) = %v, want 0.5", got)
 	}
 }
 

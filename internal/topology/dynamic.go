@@ -110,6 +110,10 @@ type Dynamic struct {
 	tel *telemetry.Telemetry
 	obs EdgeObserver
 
+	// Repair instruments, resolved once so Apply never looks them up.
+	cEvents, cTouched   *telemetry.Counter
+	hTouched, hRepairMS *telemetry.BucketHistogram
+
 	mark    []int32 // per-node visit stamp for ball dedup
 	stamp   int32
 	p1, p2  []int32 // scratch: affected node sets
@@ -126,14 +130,7 @@ func NewDynamic(pts []geom.Point, cfg Config) *Dynamic {
 	if cfg.Orientations != nil {
 		panic("topology: NewDynamic does not support per-node orientations")
 	}
-	own := append([]geom.Point(nil), pts...)
-	t := BuildTheta(own, cfg)
-	return &Dynamic{
-		t:    t,
-		idx:  spatial.NewDynGrid(own, t.Cfg.Range),
-		tel:  cfg.Telemetry,
-		mark: make([]int32, len(own)),
-	}
+	return newDynamic(BuildTheta(append([]geom.Point(nil), pts...), cfg))
 }
 
 // NewDynamicFrom wraps an already-built topology — typically a
@@ -147,13 +144,23 @@ func NewDynamicFrom(t *Topology) *Dynamic {
 	if t.Cfg.Orientations != nil {
 		panic("topology: NewDynamicFrom does not support per-node orientations")
 	}
-	own := append([]geom.Point(nil), t.Pts...)
-	t.Pts = own
+	t.Pts = append([]geom.Point(nil), t.Pts...)
+	return newDynamic(t)
+}
+
+// newDynamic wraps t, which owns its positions, and resolves the repair
+// instruments of t's telemetry scope.
+func newDynamic(t *Topology) *Dynamic {
+	tel := t.Cfg.Telemetry
 	return &Dynamic{
-		t:    t,
-		idx:  spatial.NewDynGrid(own, t.Cfg.Range),
-		tel:  t.Cfg.Telemetry,
-		mark: make([]int32, len(own)),
+		t:         t,
+		idx:       spatial.NewDynGrid(t.Pts, t.Cfg.Range),
+		tel:       tel,
+		mark:      make([]int32, len(t.Pts)),
+		cEvents:   tel.Counter("topology.events"),
+		cTouched:  tel.Counter("topology.nodes_touched"),
+		hTouched:  tel.BucketHistogram("topology.repair_touched", telemetry.DefCountBuckets),
+		hRepairMS: tel.BucketHistogram("topology.repair_ms", telemetry.DefLatencyBuckets),
 	}
 }
 
@@ -187,7 +194,6 @@ func (d *Dynamic) HasNodeAt(p geom.Point) bool {
 // would drop the node count below two.
 func (d *Dynamic) Apply(ev Event) UpdateStats {
 	start := time.Now()
-	stop := d.tel.StartPhase("topology.repair")
 	var st UpdateStats
 	switch ev.Kind {
 	case Join:
@@ -197,19 +203,15 @@ func (d *Dynamic) Apply(ev Event) UpdateStats {
 	case Move:
 		st = d.move(ev.Node, ev.Pos)
 	default:
-		stop()
 		panic(fmt.Sprintf("topology: unknown event kind %d", int(ev.Kind)))
 	}
-	stop()
 	st.Kind = ev.Kind
 	st.N = len(d.t.Pts)
 	st.Duration = time.Since(start)
-	if d.tel.Enabled() {
-		d.tel.Counter("topology.events").Inc()
-		d.tel.Counter("topology.nodes_touched").Add(int64(st.Touched))
-		d.tel.Histogram("topology.repair_touched").Observe(float64(st.Touched))
-		d.tel.Histogram("topology.repair_ms").Observe(float64(st.Duration) / float64(time.Millisecond))
-	}
+	d.cEvents.Inc()
+	d.cTouched.Add(int64(st.Touched))
+	d.hTouched.Observe(float64(st.Touched))
+	d.hRepairMS.Observe(float64(st.Duration) / float64(time.Millisecond))
 	if d.tel.Tracing() {
 		d.tel.Emit(telemetry.Event{Layer: "topology", Kind: "repair", Name: ev.Kind.String(),
 			DurMS: float64(st.Duration) / float64(time.Millisecond),

@@ -146,7 +146,11 @@ func TestDynamicTelemetry(t *testing.T) {
 	if tel.Counter("topology.nodes_touched").Value() == 0 {
 		t.Fatal("topology.nodes_touched not recorded")
 	}
-	if tel.Histogram("topology.repair_touched").N() != 2 {
+	touched := tel.Snapshot().Buckets["topology.repair_touched"]
+	if touched.Count != 2 {
 		t.Fatal("topology.repair_touched histogram not recorded")
+	}
+	if !reflect.DeepEqual(touched.Bounds, telemetry.DefCountBuckets) {
+		t.Fatalf("topology.repair_touched bounds = %v, want DefCountBuckets", touched.Bounds)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Telemetry is the observability scope of the stack: counters, gauges,
-// histograms, named phase timers, and an optional trace sink. Pass one via
+// fixed-bucket histograms, named phase timers, and an optional trace sink. Pass one via
 // SimulationOptions.Telemetry (or Options.Telemetry for bare topology
 // builds) and every layer — ΘALG build phases, MAC contention, the
 // (T,γ)-balancing router's per-step series, and the simulation loop —
@@ -29,7 +29,7 @@ type TraceEvent = telemetry.Event
 type TraceSink = telemetry.Sink
 
 // NewTelemetry returns a metrics-only telemetry scope (counters, gauges,
-// histograms, phase timers; no trace events).
+// fixed-bucket histograms, phase timers; no trace events).
 func NewTelemetry() *Telemetry { return telemetry.New(nil) }
 
 // NewTracedTelemetry returns a telemetry scope that additionally streams

@@ -46,8 +46,8 @@ func TestSimulateMetricsSnapshot(t *testing.T) {
 	if res.Delivered != bare.Delivered || res.Queued != bare.Queued || res.Moves != bare.Moves {
 		t.Errorf("telemetry changed results: %+v vs %+v", res, bare)
 	}
-	if res.Metrics.Histograms["phase.sim.run.ms"].N != 1 {
-		t.Errorf("missing sim.run phase timing: %+v", res.Metrics.Histograms)
+	if res.Metrics.Buckets["phase.sim.run.ms"].Count != 1 {
+		t.Errorf("missing sim.run phase timing: %+v", res.Metrics.Buckets)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestBuildNetworkTelemetry(t *testing.T) {
 		t.Errorf("topology.edges gauge = %v, network has %d", got, nw.NumEdges())
 	}
 	for _, phase := range []string{"phase.topology.build.ms", "phase.topology.phase1.ms", "phase.topology.phase2.ms"} {
-		if m.Histograms[phase].N != 1 {
-			t.Errorf("phase timer %s did not fire: %+v", phase, m.Histograms[phase])
+		if m.Buckets[phase].Count != 1 {
+			t.Errorf("phase timer %s did not fire: %+v", phase, m.Buckets[phase])
 		}
 	}
 
@@ -156,7 +156,7 @@ func TestBuildNetworkTelemetry(t *testing.T) {
 		t.Errorf("position msg counter = %d, stats say %d", got, st.PositionMsgs)
 	}
 	for _, phase := range []string{"phase.topology.dist.position.ms", "phase.topology.dist.neighborhood.ms", "phase.topology.dist.connection.ms"} {
-		if m2.Histograms[phase].N != 1 {
+		if m2.Buckets[phase].Count != 1 {
 			t.Errorf("distributed phase timer %s did not fire", phase)
 		}
 	}
