@@ -345,9 +345,10 @@ func BenchmarkSimulationStep(b *testing.B) {
 // BenchmarkIncrementalVsRebuild is the headline number of the dynamic
 // maintenance subsystem: on a 2000-node uniform instance, repairing the
 // topology after a single churn event (topology.Dynamic) versus rebuilding
-// it from scratch (BuildTheta). The incremental path must touch only the
-// 2D-ball around the event — a few percent of the nodes, reported as
-// "touched/op" — and come out well over an order of magnitude faster.
+// it from scratch (BuildTheta). The incremental path recomputes phase-2
+// admissions only for the event's change set — about a dozen nodes, under
+// 1% of the graph, reported as "touched/op" — and comes out nearly two
+// orders of magnitude faster.
 func BenchmarkIncrementalVsRebuild(b *testing.B) {
 	const n = 2000
 	pts := benchPoints(n)

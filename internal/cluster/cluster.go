@@ -77,6 +77,9 @@ type Cluster struct {
 	closed bool
 
 	tel *telemetry.Telemetry
+	// Read-path instruments, each resolved on first use.
+	readsReplica, readsPrimary, fallbacks telemetry.Lazy[telemetry.Counter]
+	lagGens                               telemetry.Lazy[telemetry.BucketHistogram]
 }
 
 // checkpointByteBuckets sizes the checkpoint_bytes histogram: serialized
@@ -270,18 +273,24 @@ func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int6
 		if out, g, lag, ok := m.tryEncodeSince(since, int64(c.cfg.StalenessBudget), buf); ok {
 			s.Touch()
 			if c.tel.Enabled() {
-				c.tel.Counter(telemetry.LabeledName("cluster.reads", "source", "replica")).Inc()
-				c.tel.BucketHistogram("cluster.replica_lag_gens", telemetry.DefCountBuckets).Observe(float64(lag))
+				c.readsReplica.Get(func() *telemetry.Counter {
+					return c.tel.Counter(telemetry.LabeledName("cluster.reads", "source", "replica"))
+				}).Inc()
+				c.lagGens.Get(func() *telemetry.BucketHistogram {
+					return c.tel.BucketHistogram("cluster.replica_lag_gens", telemetry.DefCountBuckets)
+				}).Observe(float64(lag))
 			}
 			return out, g, "replica", nil
 		}
 		if c.tel.Enabled() {
-			c.tel.Counter("cluster.replica_fallbacks").Inc()
+			c.fallbacks.Get(func() *telemetry.Counter { return c.tel.Counter("cluster.replica_fallbacks") }).Inc()
 		}
 	}
 	out, g, err := s.EncodeSince(ctx, since, buf)
 	if err == nil && c.tel.Enabled() {
-		c.tel.Counter(telemetry.LabeledName("cluster.reads", "source", "primary")).Inc()
+		c.readsPrimary.Get(func() *telemetry.Counter {
+			return c.tel.Counter(telemetry.LabeledName("cluster.reads", "source", "primary"))
+		}).Inc()
 	}
 	return out, g, "primary", err
 }

@@ -69,10 +69,20 @@ func noteEncodeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// routeInstruments are one /v1 route's RED instruments. Each is resolved on
+// its first use and cached, so a request renders no label set and takes no
+// registry lock.
+type routeInstruments struct {
+	requests telemetry.LazyMap[int, telemetry.Counter] // by status code
+	errors   telemetry.Lazy[telemetry.Counter]
+	latency  telemetry.Lazy[telemetry.BucketHistogram]
+}
+
 // instrument wraps a /v1 handler with tracing, RED metrics, and request
 // logging. endpoint is the route pattern (label-safe: "/v1/jobs/{id}", not
 // the concrete path, so label cardinality stays bounded).
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	ri := new(routeInstruments)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		reqID := fmt.Sprintf("req-%08d", s.reqSeq.Add(1))
@@ -95,15 +105,17 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		span.End()
 
 		if tel := s.cfg.Telemetry; tel.Enabled() {
-			code := strconv.Itoa(sw.code)
-			tel.Counter(telemetry.LabeledName("http.requests", "endpoint", endpoint, "code", code)).Inc()
+			ri.requests.Get(sw.code, func(code int) *telemetry.Counter {
+				return tel.Counter(telemetry.LabeledName("http.requests", "endpoint", endpoint, "code", strconv.Itoa(code)))
+			}).Inc()
 			if sw.code >= 500 {
-				tel.Counter(telemetry.LabeledName("http.errors", "endpoint", endpoint)).Inc()
+				ri.errors.Get(func() *telemetry.Counter {
+					return tel.Counter(telemetry.LabeledName("http.errors", "endpoint", endpoint))
+				}).Inc()
 			}
-			tel.BucketHistogram(
-				telemetry.LabeledName("http.latency_ms", "endpoint", endpoint),
-				telemetry.DefLatencyBuckets,
-			).Observe(durMS)
+			ri.latency.Get(func() *telemetry.BucketHistogram {
+				return tel.BucketHistogram(telemetry.LabeledName("http.latency_ms", "endpoint", endpoint), telemetry.DefLatencyBuckets)
+			}).Observe(durMS)
 		}
 		if lg := s.cfg.Logger; lg != nil {
 			level := slog.LevelInfo

@@ -153,6 +153,11 @@ type Server struct {
 	// bits), the drain-rate estimate behind the Retry-After computation.
 	avgRunBits atomic.Uint64
 
+	// Labeled serving instruments, each resolved on first use.
+	jobWait, jobRun telemetry.LazyMap[string, telemetry.BucketHistogram] // by job kind
+	jobOutcomes     telemetry.LazyMap[[2]string, telemetry.Counter]      // by kind, status
+	sessionGets     telemetry.LazyMap[string, telemetry.Counter]         // by result
+
 	jobs    *jobStore
 	cluster *cluster.Cluster
 	cache   *topocache.Cache // nil when caching is disabled
@@ -256,10 +261,9 @@ func (s *Server) execute(j *job) {
 	waitMS := float64(time.Since(j.created)) / float64(time.Millisecond)
 	tel := s.cfg.Telemetry
 	if tel.Enabled() {
-		tel.BucketHistogram(
-			telemetry.LabeledName("server.job_wait_ms", "kind", j.kind),
-			telemetry.DefLatencyBuckets,
-		).Observe(waitMS)
+		s.jobWait.Get(j.kind, func(kind string) *telemetry.BucketHistogram {
+			return tel.BucketHistogram(telemetry.LabeledName("server.job_wait_ms", "kind", kind), telemetry.DefLatencyBuckets)
+		}).Observe(waitMS)
 	}
 	runCtx, runSpan := telemetry.StartChild(j.ctx, "job.run")
 	runT0 := time.Now()
@@ -273,12 +277,12 @@ func (s *Server) execute(j *job) {
 		if err != nil {
 			tel.Counter("server.jobs_failed").Inc()
 		}
-		tel.BucketHistogram(
-			telemetry.LabeledName("server.job_run_ms", "kind", j.kind),
-			telemetry.DefLatencyBuckets,
-		).Observe(runMS)
-		tel.Counter(telemetry.LabeledName("server.job_outcomes",
-			"kind", j.kind, "status", string(j.currentStatus()))).Inc()
+		s.jobRun.Get(j.kind, func(kind string) *telemetry.BucketHistogram {
+			return tel.BucketHistogram(telemetry.LabeledName("server.job_run_ms", "kind", kind), telemetry.DefLatencyBuckets)
+		}).Observe(runMS)
+		s.jobOutcomes.Get([2]string{j.kind, string(j.currentStatus())}, func(k [2]string) *telemetry.Counter {
+			return tel.Counter(telemetry.LabeledName("server.job_outcomes", "kind", k[0], "status", k[1]))
+		}).Inc()
 	}
 }
 

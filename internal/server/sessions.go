@@ -160,7 +160,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionEvents applies an NDJSON stream of join/leave/move events,
 // echoing one ApplyResult line per event. Event streams are not jobs: each
-// event is sub-millisecond 2D-ball repair work serialized by the session's
+// event is sub-millisecond local repair work serialized by the session's
 // own loop, so routing them through the worker pool would cost a queue
 // round-trip per event for no isolation gain. The stream respects drain
 // (stops at the next event once the server starts draining) and paces
@@ -295,7 +295,9 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		label = "full"
 	}
 	if tel := s.cfg.Telemetry; tel.Enabled() {
-		tel.Counter(telemetry.LabeledName("session.get", "result", label)).Inc()
+		s.sessionGets.Get(label, func(label string) *telemetry.Counter {
+			return tel.Counter(telemetry.LabeledName("session.get", "result", label))
+		}).Inc()
 	}
 	if outcome == session.NotModified {
 		return

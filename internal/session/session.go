@@ -1,9 +1,9 @@
 // Package session hosts long-lived, tenant-owned topologies behind the
 // serving layer. A session wraps a topology.Dynamic: the expensive build
 // happens once at creation, and churn arrives as a
-// stream of join/leave/move events repaired locally in the 2D-ball — the
-// ~18x-over-rebuild path the paper's locality argument promises, finally
-// reachable over the wire.
+// stream of join/leave/move events repaired locally, recomputing only the
+// rows each event changed an input of — the path the paper's locality
+// argument promises, reachable over the wire.
 //
 // Every applied event advances a generation number and appends one delta
 // record (the event plus the net N-edge changes its repair caused) to a
@@ -306,7 +306,12 @@ func (s *Session) apply(ev Event) ApplyResult {
 			return res
 		}
 		to := geom.Pt(ev.X, ev.Y)
-		if to != s.dyn.Points()[ev.Node] && s.dyn.HasNodeAt(to) {
+		if to == s.dyn.Points()[ev.Node] {
+			// Same-position move: nothing changes, so the generation
+			// must not advance (a delta would be empty anyway).
+			return res
+		}
+		if s.dyn.HasNodeAt(to) {
 			res.Err = "position already occupied"
 			return res
 		}
@@ -325,12 +330,6 @@ func (s *Session) apply(ev Event) ApplyResult {
 	if ev.Op == "join" {
 		res.Node = st.N - 1 // the joined node took the next dense id
 	}
-	if ev.Op == "move" && st.Touched == 0 {
-		// Same-position move: Dynamic no-opped, nothing changed, the
-		// generation must not advance (a delta would be empty anyway).
-		return res
-	}
-
 	s.gen++
 	res.Gen = s.gen
 	record := DeltaRecord{

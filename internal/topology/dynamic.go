@@ -49,18 +49,21 @@ type Event struct {
 	Pos geom.Point
 }
 
-// UpdateStats reports the locality of one incremental repair: how few nodes
-// the ΘALG locality radius let it touch.
+// UpdateStats reports the locality of one incremental repair: how few rows
+// the change-driven repair had to recompute.
 type UpdateStats struct {
 	// Kind echoes the applied event.
 	Kind EventKind
-	// Phase1 is the number of nodes whose phase-1 sector selections were
-	// recomputed (the ≤D ball around the disturbance).
+	// Phase1 is the number of phase-1 rows recomputed in full: the event
+	// node's own row (join and move) and every row that had selected it.
+	// Rows that only gained the event node as a candidate are patched in
+	// O(1) and not counted.
 	Phase1 int
-	// Touched is the number of nodes whose phase-2 admissions and
-	// incident edges were recomputed (the ≤2D ball); Touched ≥ Phase1 and
-	// Touched/N is the recomputed fraction a full rebuild would have
-	// spent on all n nodes.
+	// Touched is the number of nodes whose phase-2 admissions and incident
+	// N-edges were recomputed: the change set A, which holds the event node
+	// (join and move), every old and new target of its row, and the old and
+	// new target of every phase-1 entry that changed. Touched/N is the
+	// recomputed fraction a full rebuild would have spent on all n nodes.
 	Touched int
 	// N is the node count after the event.
 	N int
@@ -88,18 +91,27 @@ type EdgeObserver interface {
 }
 
 // Dynamic maintains a ΘALG topology under node churn. Where BuildTheta
-// recomputes all n nodes, Apply repairs only the neighborhood the paper's
-// locality argument implies: a node's phase-1 selection depends on
-// positions within the transmission range D (protocol round 1), and its
-// phase-2 admission on selections of nodes within D — i.e. on positions
-// within 2D (rounds 2–3). A join, leave, or move therefore invalidates
-// phase-1 rows only inside the D-ball and admissions/edges only inside the
-// 2D-ball around the disturbed positions, and Apply recomputes exactly
-// those. The maintained topology is edge-for-edge the one BuildTheta would
-// produce on the current point set, under the paper's standing assumption
-// of unique pairwise distances (Section 2.1); exact-tie inputs such as
-// unjittered grids may diverge after a Leave, because swap-renumbering
-// changes the ids that break exact-distance ties.
+// recomputes all n nodes, Apply recomputes only the rows an event can
+// change, using both halves of the paper's locality argument (Section
+// 2.1): a node's phase-1 selection depends only on positions within the
+// transmission range D, and its phase-2 admission only on the phase-1
+// selections that point at it. For an event at node x:
+//
+//   - x's own phase-1 row is recomputed in full;
+//   - a row that had selected x lost the candidate its selection rested
+//     on and is recomputed in full;
+//   - a row within D of x's new position that had not selected x either
+//     takes x in the one sector x falls into or stays as it is;
+//   - every other phase-1 row is unchanged.
+//
+// Phase 2 then reruns only over the change set A: x, every old and new
+// target of x's row, and the old and new target of every phase-1 entry
+// that changed. No other node gained, lost or reordered a candidate. The
+// maintained topology is edge-for-edge the one BuildTheta would produce on
+// the current point set, under the paper's standing assumption of unique
+// pairwise distances (Section 2.1); exact-tie inputs such as unjittered
+// grids may diverge after a Leave, because swap-renumbering changes the
+// ids that break exact-distance ties.
 //
 // The transmission range D stays fixed across events (recomputing a
 // critical range is inherently global); per-node Orientations are not
@@ -114,11 +126,18 @@ type Dynamic struct {
 	cEvents, cTouched   *telemetry.Counter
 	hTouched, hRepairMS *telemetry.BucketHistogram
 
-	mark    []int32 // per-node visit stamp for ball dedup
-	stamp   int32
-	p1, p2  []int32 // scratch: affected node sets
-	nbrs    []int32 // scratch: neighbor snapshot during edge fixes
-	centers [2]geom.Point
+	// Per-repair scratch. seen[u] == stamp once this repair recomputed
+	// u's phase-1 row; inA[u] == stamp once u is in the change set.
+	seen, inA []int32
+	stamp     int32
+	phase1    int     // full phase-1 rescans
+	changed   []int32 // the event node and every phase-1 row that changed
+	admit     []int32 // the change set A
+	prev      []int32 // a row's selections before its rescan
+	nbrs      []int32 // neighbor snapshot during edge fixes
+	// A Leave's record, taken in pre-removal ids: the departed node's
+	// row and the rows that had selected it.
+	targets, selectors []int32
 }
 
 // NewDynamic builds the initial topology over a copy of pts (so later
@@ -156,7 +175,8 @@ func newDynamic(t *Topology) *Dynamic {
 		t:         t,
 		idx:       spatial.NewDynGrid(t.Pts, t.Cfg.Range),
 		tel:       tel,
-		mark:      make([]int32, len(t.Pts)),
+		seen:      make([]int32, len(t.Pts)),
+		inA:       make([]int32, len(t.Pts)),
 		cEvents:   tel.Counter("topology.events"),
 		cTouched:  tel.Counter("topology.nodes_touched"),
 		hTouched:  tel.BucketHistogram("topology.repair_touched", telemetry.DefCountBuckets),
@@ -240,14 +260,18 @@ func (d *Dynamic) checkVacant(p geom.Point) {
 func (d *Dynamic) join(p geom.Point) UpdateStats {
 	d.checkVacant(p)
 	k := d.t.Sectors.Count()
-	d.idx.Insert(p)
+	x := d.idx.Insert(p)
 	d.t.Pts = append(d.t.Pts, p)
 	d.t.NearestOut = append(d.t.NearestOut, newRow(k))
 	d.t.AdmitIn = append(d.t.AdmitIn, newRow(k))
 	d.t.N.AddNode()
 	d.t.Yao.AddNode()
-	d.mark = append(d.mark, 0)
-	return d.repair(d.centersFor(p, p))
+	d.seen = append(d.seen, 0)
+	d.inA = append(d.inA, 0)
+	d.begin()
+	d.rescanEvent(x)
+	d.offerAll(x)
+	return d.finish()
 }
 
 func (d *Dynamic) leave(x int) UpdateStats {
@@ -257,7 +281,18 @@ func (d *Dynamic) leave(x int) UpdateStats {
 		panic("topology: Leave would drop below two nodes")
 	}
 	z := n - 1
-	oldPos := d.t.Pts[x]
+	// Record what the departure changes while ids are still unambiguous:
+	// the departed node's targets lose a phase-2 candidate, and every row
+	// that selected it loses its entry. The entries are cleared here,
+	// because after the swap-relabel below a reference to x and one to z
+	// would both read x.
+	d.targets = append(d.targets[:0], d.t.NearestOut[x]...)
+	d.selectors = d.selectors[:0]
+	d.idx.ForEachWithin(d.t.Pts[x], d.t.Cfg.Range, func(w int) {
+		if w != x && clearRef(d.t.NearestOut[w], int32(x)) {
+			d.selectors = append(d.selectors, int32(w))
+		}
+	})
 	d.t.N.RemoveNodeSwap(x)
 	d.t.Yao.RemoveNodeSwap(x)
 	d.idx.RemoveSwap(x)
@@ -277,8 +312,16 @@ func (d *Dynamic) leave(x int) UpdateStats {
 	d.t.Pts = d.t.Pts[:z]
 	d.t.NearestOut = d.t.NearestOut[:z]
 	d.t.AdmitIn = d.t.AdmitIn[:z]
-	d.mark = d.mark[:z]
-	return d.repair(d.centersFor(oldPos, oldPos))
+	d.seen = d.seen[:z]
+	d.inA = d.inA[:z]
+	d.begin()
+	for _, v := range d.targets {
+		d.addAdmit(swapped(v, int32(z), int32(x)))
+	}
+	for _, w := range d.selectors {
+		d.rescan(int(swapped(w, int32(z), int32(x))))
+	}
+	return d.finish()
 }
 
 func (d *Dynamic) move(x int, to geom.Point) UpdateStats {
@@ -290,15 +333,16 @@ func (d *Dynamic) move(x int, to geom.Point) UpdateStats {
 	d.checkVacant(to)
 	d.idx.MoveTo(x, to)
 	d.t.Pts[x] = to
-	return d.repair(d.centersFor(from, to))
-}
-
-func (d *Dynamic) centersFor(a, b geom.Point) []geom.Point {
-	d.centers[0], d.centers[1] = a, b
-	if a == b {
-		return d.centers[:1]
-	}
-	return d.centers[:2]
+	d.begin()
+	d.rescanEvent(x)
+	// Only a row within D of x's old position can have selected x.
+	d.idx.ForEachWithin(from, d.t.Cfg.Range, func(w int) {
+		if d.seen[w] != d.stamp && rowHas(d.t.NearestOut[w], int32(x)) {
+			d.rescan(w)
+		}
+	})
+	d.offerAll(x)
+	return d.finish()
 }
 
 // relabelRow rewrites references to old into now in a sector row.
@@ -310,6 +354,26 @@ func relabelRow(row []int32, old, now int32) {
 	}
 }
 
+// clearRef resets the entry of row that selects v, if any, to -1 and
+// reports whether there was one.
+func clearRef(row []int32, v int32) bool {
+	for i, u := range row {
+		if u == v {
+			row[i] = -1
+			return true
+		}
+	}
+	return false
+}
+
+// swapped translates an id recorded before a swap removal: z became x.
+func swapped(v, z, x int32) int32 {
+	if v == z {
+		return x
+	}
+	return v
+}
+
 // newRow allocates one sector row initialized to -1.
 func newRow(k int) []int32 {
 	row := make([]int32, k)
@@ -319,58 +383,107 @@ func newRow(k int) []int32 {
 	return row
 }
 
-// repair restores the BuildTheta invariants after the positions near
-// centers changed: phase-1 rows for every node within D of a center,
-// phase-2 admissions and incident N-edges for every node within 2D, and
-// Yao edges alongside. Everything farther is provably unaffected — its
-// phase-1 ball and the phase-1 balls of its selectors contain no changed
-// position.
-func (d *Dynamic) repair(centers []geom.Point) UpdateStats {
-	D := d.t.Cfg.Range
-	d.p1 = d.collect(d.p1[:0], centers, D)
-	d.p2 = d.collect(d.p2[:0], centers, 2*D)
-
-	for _, u := range d.p1 {
-		d.t.phase1Row(int(u), d.idx)
-	}
-	d.fixEdges(d.t.Yao, d.p1, d.t.NearestOut, d.yaoSupported, nil)
-
-	for _, u := range d.p2 {
-		d.t.admitRow(int(u), d.idx)
-	}
-	d.fixEdges(d.t.N, d.p2, d.t.AdmitIn, d.admitSupported, d.obs)
-
-	return UpdateStats{Phase1: len(d.p1), Touched: len(d.p2)}
+// begin starts a repair with empty change sets.
+func (d *Dynamic) begin() {
+	d.stamp++
+	d.phase1 = 0
+	d.changed = d.changed[:0]
+	d.admit = d.admit[:0]
 }
 
-// collect appends the deduplicated union of the r-balls around centers to
-// out, in deterministic (center-major, grid) order.
-func (d *Dynamic) collect(out []int32, centers []geom.Point, r float64) []int32 {
-	d.stamp++
-	stamp := d.stamp
-	for _, c := range centers {
-		d.idx.ForEachWithin(c, r, func(u int) {
-			if d.mark[u] != stamp {
-				d.mark[u] = stamp
-				out = append(out, int32(u))
-			}
-		})
+// addAdmit puts u into the change set A; negative ids (empty sectors) are
+// ignored.
+func (d *Dynamic) addAdmit(u int32) {
+	if u >= 0 && d.inA[u] != d.stamp {
+		d.inA[u] = d.stamp
+		d.admit = append(d.admit, u)
 	}
-	return out
+}
+
+// rescanEvent recomputes the event node x's phase-1 row in full. x itself
+// appeared or moved, so every node it selects, before or after, sees a
+// changed candidate: all of them join the change set, not only the
+// entries that differ.
+func (d *Dynamic) rescanEvent(x int) {
+	d.seen[x] = d.stamp
+	d.changed = append(d.changed, int32(x))
+	d.addAdmit(int32(x))
+	row := d.t.NearestOut[x]
+	for _, v := range row {
+		d.addAdmit(v)
+	}
+	d.t.phase1Row(x, d.idx)
+	d.phase1++
+	for _, v := range row {
+		d.addAdmit(v)
+	}
+}
+
+// rescan recomputes row w in full and puts the old and new target of every
+// entry that changed into the change set.
+func (d *Dynamic) rescan(w int) {
+	d.seen[w] = d.stamp
+	row := d.t.NearestOut[w]
+	d.prev = append(d.prev[:0], row...)
+	d.t.phase1Row(w, d.idx)
+	d.phase1++
+	diff := false
+	for s, v := range row {
+		if old := d.prev[s]; old != v {
+			d.addAdmit(old)
+			d.addAdmit(v)
+			diff = true
+		}
+	}
+	if diff {
+		d.changed = append(d.changed, int32(w))
+	}
+}
+
+// offerAll patches every row within D of x that was not recomputed in
+// full: such a row did not select x, so x is at most a new candidate in
+// the one sector it falls into, and it takes that sector only if it beats
+// the current selection there.
+func (d *Dynamic) offerAll(x int) {
+	d.idx.ForEachWithin(d.t.Pts[x], d.t.Cfg.Range, func(w int) {
+		if d.seen[w] == d.stamp {
+			return
+		}
+		row := d.t.NearestOut[w]
+		s := d.t.SectorOf(w, x)
+		cur := row[s]
+		if cur >= 0 && !closer(d.t.Pts, w, x, int(cur)) {
+			return
+		}
+		row[s] = int32(x)
+		d.addAdmit(cur) // x is in A already
+		d.changed = append(d.changed, int32(w))
+	})
+}
+
+// finish restores the graph invariants from the recomputed phase-1 rows:
+// Yao edges at every changed row, then phase-2 admissions and N edges over
+// the change set. Every other admission provably kept its candidate set
+// and their order, so every other edge kept its support.
+func (d *Dynamic) finish() UpdateStats {
+	d.fixEdges(d.t.Yao, d.changed, d.t.NearestOut, d.yaoSupported, nil)
+	for _, u := range d.admit {
+		d.t.admitRow(int(u), d.idx)
+	}
+	d.fixEdges(d.t.N, d.admit, d.t.AdmitIn, d.admitSupported, d.obs)
+	return UpdateStats{Phase1: d.phase1, Touched: len(d.admit)}
 }
 
 // yaoSupported reports whether the Yao edge (u, v) is justified by the
 // current phase-1 tables: u selected v or v selected u.
 func (d *Dynamic) yaoSupported(u, v int) bool {
-	return d.t.NearestOut[u][d.t.SectorOf(u, v)] == int32(v) ||
-		d.t.NearestOut[v][d.t.SectorOf(v, u)] == int32(u)
+	return rowHas(d.t.NearestOut[u], int32(v)) || rowHas(d.t.NearestOut[v], int32(u))
 }
 
 // admitSupported reports whether the N edge (u, v) is justified by the
 // current phase-2 tables: u admitted v or v admitted u.
 func (d *Dynamic) admitSupported(u, v int) bool {
-	return d.t.AdmitIn[u][d.t.SectorOf(u, v)] == int32(v) ||
-		d.t.AdmitIn[v][d.t.SectorOf(v, u)] == int32(u)
+	return rowHas(d.t.AdmitIn[u], int32(v)) || rowHas(d.t.AdmitIn[v], int32(u))
 }
 
 // fixEdges reconciles g's edges incident to the given nodes with the

@@ -154,17 +154,16 @@ func (s *phase1Scanner) scan(ctx context.Context, lo, hi int, idx withinIndex) {
 // per sector of u, the nearest in-range w that selected u in phase 1. This
 // is the per-node (gather) formulation of the scatter loop in fillGrid —
 // both compute the maximum of the same candidate set under the same strict
-// order, so they agree exactly.
+// order, so they agree exactly. Whether w selected u is read off w's row:
+// a row holds u only in the sector u falls into, so in-range nodes that
+// did not select u cost no SectorOf.
 func (t *Topology) admitRow(u int, idx withinIndex) {
 	row := t.AdmitIn[u]
 	for i := range row {
 		row[i] = -1
 	}
 	idx.ForEachWithin(t.Pts[u], t.Cfg.Range, func(w int) {
-		if w == u {
-			return
-		}
-		if t.NearestOut[w][t.SectorOf(w, u)] != int32(u) {
+		if w == u || !rowHas(t.NearestOut[w], int32(u)) {
 			return
 		}
 		s := t.SectorOf(u, w)
@@ -172,6 +171,16 @@ func (t *Topology) admitRow(u int, idx withinIndex) {
 			row[s] = int32(w)
 		}
 	})
+}
+
+// rowHas reports whether a sector row selects v.
+func rowHas(row []int32, v int32) bool {
+	for _, u := range row {
+		if u == v {
+			return true
+		}
+	}
+	return false
 }
 
 // BuildTheta runs ΘALG on pts and returns the resulting topology. It panics

@@ -156,7 +156,7 @@ func postEvents(b *testing.B, url string, batch []byte) {
 }
 
 // BenchmarkSessionApplyEvent is per-event cost of the hosted churn path at
-// n=2000: NDJSON decode, token check, single-writer 2D-ball repair, delta
+// n=2000: NDJSON decode, token check, single-writer change-driven repair, delta
 // recording, result echo — batched 200 events per request so the HTTP
 // round-trip amortizes the way a real event stream does. Gated against
 // BenchmarkServeTopologyN2000 (must stay ≥5x faster than rebuilding).

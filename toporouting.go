@@ -196,11 +196,12 @@ const (
 type UpdateStats = topology.UpdateStats
 
 // DynamicNetwork maintains a ΘALG topology under node churn. Where
-// BuildNetwork recomputes all n nodes, Apply repairs only the nodes within
-// the locality radius the paper's 3-round protocol implies — the ≤D ball
-// for phase-1 selections and the ≤2D ball for phase-2 admissions — so a
-// single join, leave, or move costs a small constant fraction of a
-// rebuild. The maintained topology is edge-for-edge identical to a
+// BuildNetwork recomputes all n nodes, Apply recomputes only the rows the
+// event changed an input of — phase-1 selections of the event node and of
+// the nodes that had selected it, phase-2 admissions of the nodes whose
+// candidate set changed — all within the locality radius the paper's
+// 3-round protocol implies, so a single join, leave, or move costs a small
+// constant fraction of a rebuild. The maintained topology is edge-for-edge identical to a
 // from-scratch build on the current point set (under the paper's standing
 // unique-pairwise-distance assumption). The transmission range is fixed at
 // construction; DynamicNetwork is not safe for concurrent use.
