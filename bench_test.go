@@ -142,12 +142,16 @@ func BenchmarkBuildTheta(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildThetaDistributed(b *testing.B) {
+// BenchmarkBuildNetworkDistributed times the facade's distributed entry
+// point: a build plus the protocol message counts read off its tables.
+func BenchmarkBuildNetworkDistributed(b *testing.B) {
 	pts := benchPoints(400)
-	d := unitdisk.CriticalRange(pts) * 1.3
+	opts := Options{Theta: math.Pi / 6, Range: unitdisk.CriticalRange(pts) * 1.3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		topology.BuildThetaDistributed(pts, topology.Config{Theta: math.Pi / 6, Range: d})
+		if _, _, err := BuildNetworkDistributed(pts, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -23,8 +23,12 @@
 // the builder tiles large point sets on its own, and the topology is
 // identical for every worker count.
 //
+// -distributed also prints the message counts of the synchronous 3-round
+// protocol (Position / Neighborhood / Connection) that builds the same
+// topology, read off its sector tables.
+//
 // Observability: -trace streams the ΘALG build events (phase timings,
-// distributed protocol rounds) as JSONL; -metrics prints the telemetry
+// distributed protocol message counts) as JSONL; -metrics prints the telemetry
 // snapshot after the build; -cpuprofile/-memprofile write runtime/pprof
 // profiles; -pprof-addr serves net/http/pprof and expvar.
 package main
@@ -149,7 +153,7 @@ func run() error {
 		kappa       = flag.Float64("kappa", 2, "path-loss exponent κ ≥ 2")
 		delta       = flag.Float64("delta", 0.5, "interference guard zone Δ > 0")
 		srcs        = flag.Int("sources", 40, "Dijkstra sources for stretch (0 = exact)")
-		distributed = flag.Bool("distributed", false, "use the 3-round message-passing protocol")
+		distributed = flag.Bool("distributed", false, "also report the 3-round protocol's message counts")
 		workers     = flag.Int("workers", 0, "cap the centralized build's goroutines (0 = sequential build)")
 		edges       = flag.Bool("edges", false, "dump the edge list")
 		svgPath     = flag.String("svg", "", "write an SVG rendering (G* faint, N bold) to this file")

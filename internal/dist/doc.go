@@ -1,13 +1,12 @@
 // Package dist is the distributed protocol engine: it rebuilds the ΘALG
 // topology of internal/topology purely by message passing, under message
 // loss, bounded random delay, and node crash/restart — validating the
-// paper's locality claim end to end. Where topology.BuildTheta (and even
-// topology.BuildThetaDistributed, the faithful synchronous 3-round
-// protocol) executes with god's-eye global state, here every node is an
-// independent actor with a bounded FIFO mailbox that computes only from
-// messages it has received. The runtime plays exactly the role of the
-// radio medium plus a fault injector: it decides which in-range nodes hear
-// a broadcast, and it drops, delays, and loses messages.
+// paper's locality claim end to end. Where topology.BuildTheta executes
+// with god's-eye global state, here every node is an independent actor
+// with a bounded FIFO mailbox that computes only from messages it has
+// received. The runtime plays exactly the role of the radio medium plus a
+// fault injector: it decides which in-range nodes hear a broadcast, and it
+// drops, delays, and loses messages.
 //
 // # Actor model
 //

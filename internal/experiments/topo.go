@@ -282,7 +282,7 @@ func E12Baselines(sc Scale) *Table {
 			g    *graph.Graph
 		}{
 			{"ThetaALG-N", top.N},
-			{"Yao", top.Yao},
+			{"Yao", top.YaoGraph()},
 			{"Gabriel", proximity.Gabriel(pts, dRange)},
 			{"RNG", proximity.RNG(pts, dRange)},
 			{"RestrDelaunay", proximity.RestrictedDelaunay(pts, dRange)},

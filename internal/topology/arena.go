@@ -9,10 +9,10 @@ import (
 )
 
 // BuildArena is reusable backing storage for ΘALG builds: the spatial index,
-// both n×k sector tables, the adjacency slabs of the Yao graph and the final
-// topology N, and the distinctness-check map. A serving layer that builds
-// one topology per request recycles arenas through a pool, turning the
-// ~1500 per-build allocations of the naive path into a handful.
+// both n×k sector tables, the adjacency slab of the final topology N, and
+// the distinctness-check map. A serving layer that builds one topology per
+// request recycles arenas through a pool, turning the ~1500 per-build
+// allocations of the naive path into a handful.
 //
 // A Topology built into an arena aliases the arena's memory: it is valid
 // only until the next build with the same arena, and must not be retained
@@ -22,7 +22,6 @@ type BuildArena struct {
 	grid    spatial.Grid
 	tabFlat []int32
 	tabRows [][]int32
-	yao     graph.Slab
 	fin     graph.Slab
 	seen    map[geom.Point]int
 }
@@ -63,8 +62,7 @@ func (a *BuildArena) distinctScratch(n int) map[geom.Point]int {
 // retaining them forever.
 func (a *BuildArena) Footprint() int {
 	return 4*cap(a.tabFlat) + 24*cap(a.tabRows) +
-		a.yao.Footprint() + a.fin.Footprint() +
-		a.grid.Footprint() + 48*len(a.seen)
+		a.fin.Footprint() + a.grid.Footprint() + 48*len(a.seen)
 }
 
 // BuildThetaArena is BuildThetaContext building into ar's reusable storage

@@ -41,7 +41,7 @@ func TestBuildThetaArenaEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(ref.N.Edges(), got.N.Edges()) {
 			t.Fatalf("trial %d (n=%d): final graph diverges", trial, n)
 		}
-		if !reflect.DeepEqual(ref.Yao.Edges(), got.Yao.Edges()) {
+		if !reflect.DeepEqual(ref.YaoGraph().Edges(), got.YaoGraph().Edges()) {
 			t.Fatalf("trial %d (n=%d): Yao graph diverges", trial, n)
 		}
 		if !reflect.DeepEqual(ref.NearestOut, got.NearestOut) {

@@ -15,9 +15,9 @@ func CheckDistinct(pts []geom.Point) { checkDistinct(pts) }
 // AssembleTables constructs a Topology from externally computed per-sector
 // selection and admission tables — the output surface of builders that do
 // not run inside this package, such as the asynchronous message-passing
-// engine (internal/dist). The Yao graph is derived as the undirected
-// closure of nearestOut and the final topology N as the undirected closure
-// of admitIn, exactly as the centralized builder materializes them; no
+// engine (internal/dist). The final topology N is derived as the
+// undirected closure of admitIn, exactly as the centralized builder
+// materializes it (YaoGraph derives N₁ from nearestOut on call); no
 // validation of the tables' semantics is performed beyond shape checks, so
 // the result is only as correct as the protocol that produced the tables.
 func AssembleTables(pts []geom.Point, cfg Config, nearestOut, admitIn [][]int32) *Topology {
@@ -42,7 +42,6 @@ func AssembleTables(pts []geom.Point, cfg Config, nearestOut, admitIn [][]int32)
 		Sectors:    sectors,
 		NearestOut: nearestOut,
 		AdmitIn:    admitIn,
-		Yao:        closure(nearestOut, k, nil),
 		N:          closure(admitIn, k, nil),
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"toporouting/internal/geom"
-	"toporouting/internal/graph"
 	"toporouting/internal/spatial"
 	"toporouting/internal/telemetry"
 )
@@ -131,7 +130,6 @@ type Dynamic struct {
 	seen, inA []int32
 	stamp     int32
 	phase1    int     // full phase-1 rescans
-	changed   []int32 // the event node and every phase-1 row that changed
 	admit     []int32 // the change set A
 	prev      []int32 // a row's selections before its rescan
 	nbrs      []int32 // neighbor snapshot during edge fixes
@@ -155,7 +153,7 @@ func NewDynamic(pts []geom.Point, cfg Config) *Dynamic {
 // NewDynamicFrom wraps an already-built topology — typically a
 // BuildThetaContext result, which tiles large inputs across workers — as a
 // churn-maintenance handle without rebuilding it. The handle takes
-// ownership of t: its tables and graphs mutate in place across Apply
+// ownership of t: its tables and N mutate in place across Apply
 // calls. Positions are copied first, so the slice the topology was built
 // over stays untouched. Like NewDynamic it rejects per-node Orientations,
 // which swap-renumbering does not support.
@@ -265,7 +263,6 @@ func (d *Dynamic) join(p geom.Point) UpdateStats {
 	d.t.NearestOut = append(d.t.NearestOut, newRow(k))
 	d.t.AdmitIn = append(d.t.AdmitIn, newRow(k))
 	d.t.N.AddNode()
-	d.t.Yao.AddNode()
 	d.seen = append(d.seen, 0)
 	d.inA = append(d.inA, 0)
 	d.begin()
@@ -294,7 +291,6 @@ func (d *Dynamic) leave(x int) UpdateStats {
 		}
 	})
 	d.t.N.RemoveNodeSwap(x)
-	d.t.Yao.RemoveNodeSwap(x)
 	d.idx.RemoveSwap(x)
 	if x != z {
 		// Node z took id x: move its rows down and rewrite every in-range
@@ -387,7 +383,6 @@ func newRow(k int) []int32 {
 func (d *Dynamic) begin() {
 	d.stamp++
 	d.phase1 = 0
-	d.changed = d.changed[:0]
 	d.admit = d.admit[:0]
 }
 
@@ -406,7 +401,6 @@ func (d *Dynamic) addAdmit(u int32) {
 // entries that differ.
 func (d *Dynamic) rescanEvent(x int) {
 	d.seen[x] = d.stamp
-	d.changed = append(d.changed, int32(x))
 	d.addAdmit(int32(x))
 	row := d.t.NearestOut[x]
 	for _, v := range row {
@@ -427,16 +421,11 @@ func (d *Dynamic) rescan(w int) {
 	d.prev = append(d.prev[:0], row...)
 	d.t.phase1Row(w, d.idx)
 	d.phase1++
-	diff := false
 	for s, v := range row {
 		if old := d.prev[s]; old != v {
 			d.addAdmit(old)
 			d.addAdmit(v)
-			diff = true
 		}
-	}
-	if diff {
-		d.changed = append(d.changed, int32(w))
 	}
 }
 
@@ -457,49 +446,36 @@ func (d *Dynamic) offerAll(x int) {
 		}
 		row[s] = int32(x)
 		d.addAdmit(cur) // x is in A already
-		d.changed = append(d.changed, int32(w))
 	})
 }
 
 // finish restores the graph invariants from the recomputed phase-1 rows:
-// Yao edges at every changed row, then phase-2 admissions and N edges over
-// the change set. Every other admission provably kept its candidate set
-// and their order, so every other edge kept its support.
+// phase-2 admissions and N edges over the change set. Every other
+// admission provably kept its candidate set and their order, so every
+// other edge kept its support.
 func (d *Dynamic) finish() UpdateStats {
-	d.fixEdges(d.t.Yao, d.changed, d.t.NearestOut, d.yaoSupported, nil)
 	for _, u := range d.admit {
 		d.t.admitRow(int(u), d.idx)
 	}
-	d.fixEdges(d.t.N, d.admit, d.t.AdmitIn, d.admitSupported, d.obs)
+	d.fixEdges()
 	return UpdateStats{Phase1: d.phase1, Touched: len(d.admit)}
 }
 
-// yaoSupported reports whether the Yao edge (u, v) is justified by the
-// current phase-1 tables: u selected v or v selected u.
-func (d *Dynamic) yaoSupported(u, v int) bool {
-	return rowHas(d.t.NearestOut[u], int32(v)) || rowHas(d.t.NearestOut[v], int32(u))
-}
-
-// admitSupported reports whether the N edge (u, v) is justified by the
-// current phase-2 tables: u admitted v or v admitted u.
-func (d *Dynamic) admitSupported(u, v int) bool {
-	return rowHas(d.t.AdmitIn[u], int32(v)) || rowHas(d.t.AdmitIn[v], int32(u))
-}
-
-// fixEdges reconciles g's edges incident to the given nodes with the
-// (already recomputed) sector tables: drop incident edges the tables no
-// longer support, then add every edge the nodes' own rows assert. Edges
-// with both endpoints outside nodes are untouched — their rows did not
-// change, so their support did not either. A non-nil obs is told about
-// every actual presence change: removals are always real (the neighbor
-// snapshot lists only present edges, and an edge already dropped via its
-// other endpoint no longer appears), and adds are screened with HasEdge so
-// re-asserting a surviving edge stays silent.
-func (d *Dynamic) fixEdges(g *graph.Graph, nodes []int32, rows [][]int32, supported func(u, v int) bool, obs EdgeObserver) {
-	for _, u := range nodes {
+// fixEdges reconciles N's edges incident to the change set with the
+// (already recomputed) admission tables: drop incident edges neither
+// endpoint admits any more, then add every edge the nodes' own rows
+// assert. Edges with both endpoints outside the change set are untouched —
+// their rows did not change, so their support did not either. An installed
+// observer is told about every actual presence change: removals are always
+// real (the neighbor snapshot lists only present edges, and an edge
+// already dropped via its other endpoint no longer appears), and adds are
+// screened with HasEdge so re-asserting a surviving edge stays silent.
+func (d *Dynamic) fixEdges() {
+	g, rows, obs := d.t.N, d.t.AdmitIn, d.obs
+	for _, u := range d.admit {
 		d.nbrs = append(d.nbrs[:0], g.Neighbors(int(u))...)
 		for _, v := range d.nbrs {
-			if !supported(int(u), int(v)) {
+			if !rowHas(rows[u], v) && !rowHas(rows[v], u) {
 				g.RemoveEdge(int(u), int(v))
 				if obs != nil {
 					obs.EdgeRemoved(int(u), int(v))
@@ -507,7 +483,7 @@ func (d *Dynamic) fixEdges(g *graph.Graph, nodes []int32, rows [][]int32, suppor
 			}
 		}
 	}
-	for _, u := range nodes {
+	for _, u := range d.admit {
 		for _, v := range rows[u] {
 			if v >= 0 {
 				if obs != nil && !g.HasEdge(int(u), int(v)) {

@@ -13,7 +13,7 @@ import (
 
 // FuzzDynamicRepair drives the incremental maintenance through an event
 // sequence decoded from the fuzzer's bytes and requires NearestOut,
-// AdmitIn, Yao and N to equal a from-scratch BuildTheta after every event.
+// AdmitIn, YaoGraph and N to equal a from-scratch BuildTheta after every event.
 //
 // The first three bytes pick the start: n0 = 2 + b0%40 uniform points from
 // seed b1, and D = CriticalRange·(0.5 + b2/64), so D ranges from half the

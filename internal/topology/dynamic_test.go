@@ -27,7 +27,7 @@ func requireEquivalent(t *testing.T, d *Dynamic, label string) {
 	if !reflect.DeepEqual(d.Topology().AdmitIn, fresh.AdmitIn) {
 		t.Fatalf("%s: AdmitIn diverged from rebuild", label)
 	}
-	if !reflect.DeepEqual(d.Topology().Yao.Edges(), fresh.Yao.Edges()) {
+	if !reflect.DeepEqual(d.Topology().YaoGraph().Edges(), fresh.YaoGraph().Edges()) {
 		t.Fatalf("%s: Yao edges diverged from rebuild", label)
 	}
 	if !reflect.DeepEqual(d.Topology().N.Edges(), fresh.N.Edges()) {

@@ -36,7 +36,7 @@ func TestBuildThetaParallelDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(got.N.Edges(), ref.N.Edges()) {
 				t.Fatalf("%v workers=%d: adjacency differs from sequential", kind, workers)
 			}
-			if !reflect.DeepEqual(got.Yao.Edges(), ref.Yao.Edges()) {
+			if !reflect.DeepEqual(got.YaoGraph().Edges(), ref.YaoGraph().Edges()) {
 				t.Fatalf("%v workers=%d: Yao adjacency differs from sequential", kind, workers)
 			}
 		}

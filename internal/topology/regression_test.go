@@ -47,16 +47,6 @@ func TestBuildThetaRejectsCoincidentPoints(t *testing.T) {
 	BuildTheta(pts, Config{Theta: math.Pi / 6, Range: 3})
 }
 
-func TestDistributedRejectsCoincidentPoints(t *testing.T) {
-	pts := pointset.Set{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(1, 1)}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for coincident points")
-		}
-	}()
-	BuildThetaDistributed(pts, Config{Theta: math.Pi / 6, Range: 3})
-}
-
 // Per-node orientations: the paper makes no shared-frame assumption, so all
 // structural guarantees must hold for arbitrary per-node sector anchors.
 func TestOrientedTopologyInvariants(t *testing.T) {
@@ -75,17 +65,6 @@ func TestOrientedTopologyInvariants(t *testing.T) {
 		}
 		if top.N.MaxDegree() > top.DegreeBound() {
 			t.Fatalf("trial %d: degree bound violated", trial)
-		}
-		// Distributed implementation matches with the same orientations.
-		dist, _ := BuildThetaDistributed(pts, cfg)
-		a, b := top.N.Edges(), dist.N.Edges()
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: distributed differs", trial)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: edge %d differs", trial, i)
-			}
 		}
 		// θ-paths remain valid.
 		gstar := unitdisk.Build(pts, d)

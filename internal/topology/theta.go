@@ -1,9 +1,12 @@
 // Package topology implements the paper's primary contribution: the
 // two-phase local topology-control algorithm ΘALG (Section 2.1, proposed by
-// Li et al. and analyzed by Jia/Rajaraman/Scheideler), together with the
-// plain Yao graph it prunes, a faithful distributed 3-round message-passing
-// implementation, and the θ-path replacement used by Lemma 2.9 and
-// Theorem 2.8.
+// Li et al. and analyzed by Jia/Rajaraman/Scheideler), its incremental
+// maintenance under churn, and the θ-path replacement used by Lemma 2.9
+// and Theorem 2.8. A build's one artifact is the pair of per-node sector
+// tables plus the final topology N stitched from them; the plain Yao graph
+// ΘALG prunes and the message counts of the 3-round protocol are derived
+// from the tables on demand. The message-passing realization of the
+// protocol lives in internal/dist.
 package topology
 
 import (
@@ -48,10 +51,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Topology is the output of ΘALG on a point set: the bounded-degree graph N,
-// the intermediate Yao graph N₁, and the per-sector selection tables that
-// the θ-path replacement and the distributed protocol are defined in terms
-// of.
+// Topology is the output of ΘALG on a point set: the per-sector selection
+// tables that the θ-path replacement and the distributed protocol are
+// defined in terms of, and the bounded-degree graph N stitched from them.
+// The intermediate Yao graph N₁ is YaoGraph, computed on call.
 type Topology struct {
 	// Pts are the node positions; node i is Pts[i].
 	Pts []geom.Point
@@ -62,9 +65,6 @@ type Topology struct {
 	// N is the final topology: connected (when G* is), degree ≤ 4π/θ,
 	// O(1) energy-stretch (Theorem 2.2).
 	N *graph.Graph
-	// Yao is the phase-1 graph N₁ (the Yao/θ-graph): (u,v) present iff
-	// u ∈ N(v) or v ∈ N(u). It is a spanner but has unbounded in-degree.
-	Yao *graph.Graph
 	// NearestOut[u][s] is u's phase-1 selection in sector s: the nearest
 	// node of u within range whose direction falls in sector s, or -1.
 	// v = NearestOut[u][s] means v ∈ N(u).
@@ -209,15 +209,14 @@ const cancelStride = 256
 
 // build is the one ΘALG builder behind every entry point. It validates the
 // input, takes the sector tables (fresh, or recycled from ar when non-nil),
-// fills them, stitches the Yao graph and N from them, and records
-// telemetry. Only the fill varies, and it is chosen from the input: tiles
-// ≤ 0 asks tilesFor, which keeps every n ≤ 32768 on one spatial grid over
-// the whole point set (fillGrid) and cuts larger sets into k×k tiles with
-// 2D halos (fillTiles). Tests force tiles = 1 for the single-grid
-// reference and k > 1 for a given tiling. ΘALG is local, so every fill
-// yields bit-identical tables, and the shared stitch makes the graphs
-// (adjacency order included) bit-identical too. workers caps the fill's
-// goroutines.
+// fills them, stitches N from them, and records telemetry. Only the fill
+// varies, and it is chosen from the input: tiles ≤ 0 asks tilesFor, which
+// keeps every n ≤ 32768 on one spatial grid over the whole point set
+// (fillGrid) and cuts larger sets into k×k tiles with 2D halos
+// (fillTiles). Tests force tiles = 1 for the single-grid reference and
+// k > 1 for a given tiling. ΘALG is local, so every fill yields
+// bit-identical tables, and the shared stitch makes N (adjacency order
+// included) bit-identical too. workers caps the fill's goroutines.
 func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena, tiles int) (*Topology, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Range <= 0 {
@@ -271,31 +270,32 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 	spanBuild.SetAttr("max_degree", float64(t.N.MaxDegree()))
 	spanBuild.End()
 	if tel.Enabled() {
+		yaoEdges := float64(t.yaoEdges())
 		tel.Counter("topology.builds").Inc()
 		tel.Gauge("topology.edges").Set(float64(t.N.NumEdges()))
-		tel.Gauge("topology.yao_edges").Set(float64(t.Yao.NumEdges()))
+		tel.Gauge("topology.yao_edges").Set(yaoEdges)
 		tel.Gauge("topology.max_degree").Set(float64(t.N.MaxDegree()))
-	}
-	if tel.Tracing() {
-		fields := map[string]float64{
-			"n":          float64(n),
-			"edges":      float64(t.N.NumEdges()),
-			"yao_edges":  float64(t.Yao.NumEdges()),
-			"max_degree": float64(t.N.MaxDegree()),
+		if tel.Tracing() {
+			fields := map[string]float64{
+				"n":          float64(n),
+				"edges":      float64(t.N.NumEdges()),
+				"yao_edges":  yaoEdges,
+				"max_degree": float64(t.N.MaxDegree()),
+			}
+			name := ""
+			if tiles > 1 {
+				name = "tiled"
+				fields["tiles"] = float64(tiles)
+			}
+			tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Name: name, Fields: fields})
 		}
-		name := ""
-		if tiles > 1 {
-			name = "tiled"
-			fields["tiles"] = float64(tiles)
-		}
-		tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Name: name, Fields: fields})
 	}
 	return t, nil
 }
 
 // fillGrid fills the sector tables from one spatial grid over the whole
-// point set and stitches both graphs, under the topology.phase1 and
-// topology.phase2 spans. Phase 1 fans out over up to workers goroutines
+// point set and stitches N, under the topology.phase1 and topology.phase2
+// spans. Phase 1 fans out over up to workers goroutines
 // owning disjoint node ranges; each row reads only immutable positions, so
 // the result is identical for every worker count.
 func (t *Topology) fillGrid(ctx context.Context, workers int, ar *BuildArena) error {
@@ -338,9 +338,7 @@ func (t *Topology) fillGrid(ctx context.Context, workers int, ar *BuildArena) er
 		spanP1.End()
 		return err
 	}
-	t.stitchYao(ar)
 	stopPhase1()
-	spanP1.SetAttr("yao_edges", float64(t.Yao.NumEdges()))
 	spanP1.End()
 	stopPhase2 := tel.StartPhase("topology.phase2")
 	_, spanP2 := telemetry.StartChild(ctx, "topology.phase2")
@@ -374,17 +372,6 @@ func (t *Topology) fillGrid(ctx context.Context, workers int, ar *BuildArena) er
 	return nil
 }
 
-// stitchYao materializes the Yao graph N₁ as the undirected closure of the
-// phase-1 selections, carving its rows from the arena's slab when ar is
-// non-nil.
-func (t *Topology) stitchYao(ar *BuildArena) {
-	var slab *graph.Slab
-	if ar != nil {
-		slab = &ar.yao
-	}
-	t.Yao = closure(t.NearestOut, t.Sectors.Count(), slab)
-}
-
 // stitchN materializes the final topology N: an edge for every phase-2
 // admission, in either direction.
 func (t *Topology) stitchN(ar *BuildArena) {
@@ -398,10 +385,8 @@ func (t *Topology) stitchN(ar *BuildArena) {
 // closure returns the undirected graph with an edge {u, v} for every entry
 // v ≥ 0 of row u of the n×k table tab, inserted in row-major order (which
 // fixes the adjacency order every builder reproduces). A non-nil slab
-// carves rows sized 2k: N never exceeds that (Lemma 2.1 bounds its
-// degree by 4π/θ = 2k) and Yao rows rarely do (out-degree ≤ k; a high
-// in-degree row spills to the heap, which is correct and merely
-// allocates).
+// carves rows sized 2k, which N never exceeds: Lemma 2.1 bounds its degree
+// by 4π/θ = 2k.
 func closure(tab [][]int32, k int, slab *graph.Slab) *graph.Graph {
 	n := len(tab)
 	var g *graph.Graph
@@ -484,9 +469,69 @@ func (t *Topology) DistanceCost() graph.CostFunc {
 	return func(u, v int) float64 { return geom.Dist(pts[u], pts[v]) }
 }
 
-// BuildYao builds only the phase-1 Yao (θ-) graph over pts, the classic
-// construction of Yao [44] that ΘALG prunes. Exposed as an experiment
-// baseline: it is a spanner but has worst-case degree Ω(n).
-func BuildYao(pts []geom.Point, cfg Config) *graph.Graph {
-	return BuildTheta(pts, cfg).Yao
+// YaoGraph returns the phase-1 graph N₁ (the Yao/θ-graph), the classic
+// construction of Yao [44] that ΘALG prunes: (u,v) is an edge iff u ∈ N(v)
+// or v ∈ N(u). It is a spanner but has worst-case degree Ω(n). It is the
+// undirected closure of NearestOut, built fresh on every call; nothing on
+// the build or repair path keeps it.
+func (t *Topology) YaoGraph() *graph.Graph {
+	return closure(t.NearestOut, t.Sectors.Count(), nil)
+}
+
+// yaoEdges counts YaoGraph's edges without building it: every phase-1
+// selection is an edge, except that a mutual pair (u selected v and v
+// selected u) is one edge, counted from its smaller endpoint's row only.
+func (t *Topology) yaoEdges() int {
+	m := 0
+	for u, row := range t.NearestOut {
+		for _, v := range row {
+			if v >= 0 && !(int(v) < u && rowHas(t.NearestOut[v], int32(u))) {
+				m++
+			}
+		}
+	}
+	return m
+}
+
+// ProtocolStats counts the traffic of the synchronous 3-round protocol of
+// Section 2.1 that builds this topology.
+type ProtocolStats struct {
+	// PositionMsgs, NeighborhoodMsgs, ConnectionMsgs count the messages
+	// sent in each round (a broadcast counts once regardless of
+	// receivers).
+	PositionMsgs, NeighborhoodMsgs, ConnectionMsgs int
+	// Deliveries counts point-to-point deliveries (a broadcast counts
+	// once per receiver).
+	Deliveries int
+}
+
+// ProtocolStats returns the message counts of the 3-round protocol, read
+// off the sector tables. Round 1: every node broadcasts its position once,
+// heard by every other node within range D. Round 2: u unicasts N(u) to
+// each member of N(u), one message per NearestOut entry. Round 3: u
+// answers each per-sector winner of its admissions, one message per
+// AdmitIn entry. A node lies in exactly one sector of u, so the entries
+// of a row are distinct. Every unicast is one delivery.
+func (t *Topology) ProtocolStats() ProtocolStats {
+	st := ProtocolStats{PositionMsgs: len(t.Pts)}
+	for u := range t.NearestOut {
+		for s := range t.NearestOut[u] {
+			if t.NearestOut[u][s] >= 0 {
+				st.NeighborhoodMsgs++
+			}
+			if t.AdmitIn[u][s] >= 0 {
+				st.ConnectionMsgs++
+			}
+		}
+	}
+	grid := spatial.NewGrid(t.Pts, t.Cfg.Range)
+	for u, p := range t.Pts {
+		grid.ForEachWithin(p, t.Cfg.Range, func(v int) {
+			if v != u {
+				st.Deliveries++
+			}
+		})
+	}
+	st.Deliveries += st.NeighborhoodMsgs + st.ConnectionMsgs
+	return st
 }

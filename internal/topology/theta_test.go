@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"toporouting/internal/geom"
-	"toporouting/internal/graph"
 	"toporouting/internal/pointset"
 	"toporouting/internal/unitdisk"
 )
@@ -83,18 +82,19 @@ func TestNSubsetYaoSubsetGStar(t *testing.T) {
 	d := unitdisk.CriticalRange(pts) * 1.3
 	top := BuildTheta(pts, Config{Theta: math.Pi / 6, Range: d})
 	gstar := unitdisk.Build(pts, d)
+	yao := top.YaoGraph()
 	for _, e := range top.N.Edges() {
-		if !top.Yao.HasEdge(e.U, e.V) {
+		if !yao.HasEdge(e.U, e.V) {
 			t.Fatalf("N edge %v missing from Yao", e)
 		}
 	}
-	for _, e := range top.Yao.Edges() {
+	for _, e := range yao.Edges() {
 		if !gstar.HasEdge(e.U, e.V) {
 			t.Fatalf("Yao edge %v missing from G*", e)
 		}
 	}
 	// The pruning must actually remove something on dense instances.
-	if top.N.NumEdges() > top.Yao.NumEdges() {
+	if top.N.NumEdges() > yao.NumEdges() {
 		t.Error("N larger than Yao")
 	}
 }
@@ -214,13 +214,23 @@ func TestEnergyAndDistanceCosts(t *testing.T) {
 func TestBuildYao(t *testing.T) {
 	pts := pointset.Generate(pointset.KindUniform, 100, 9)
 	d := unitdisk.CriticalRange(pts) * 1.2
-	yao := BuildYao(pts, Config{Theta: math.Pi / 6, Range: d})
 	top := BuildTheta(pts, Config{Theta: math.Pi / 6, Range: d})
-	if yao.NumEdges() != top.Yao.NumEdges() {
-		t.Error("BuildYao disagrees with BuildTheta.Yao")
-	}
+	yao := top.YaoGraph()
 	if !yao.Connected() {
 		t.Error("Yao graph should be connected")
+	}
+	// Every phase-1 selection is a Yao edge, and every Yao edge is one.
+	for u, row := range top.NearestOut {
+		for _, v := range row {
+			if v >= 0 && !yao.HasEdge(u, int(v)) {
+				t.Fatalf("selection %d→%d missing from Yao", u, v)
+			}
+		}
+	}
+	for _, e := range yao.Edges() {
+		if !top.Selected(e.U, e.V) && !top.Selected(e.V, e.U) {
+			t.Fatalf("Yao edge %v selected by neither endpoint", e)
+		}
 	}
 }
 
@@ -231,9 +241,10 @@ func TestYaoIsSpanner(t *testing.T) {
 	d := unitdisk.CriticalRange(pts) * 1.3
 	top := BuildTheta(pts, Config{Theta: math.Pi / 6, Range: d})
 	distCost := top.DistanceCost()
+	yao := top.YaoGraph()
 	worst := 1.0
 	for u := 0; u < 20; u++ {
-		dist, _ := top.Yao.Dijkstra(u, distCost)
+		dist, _ := yao.Dijkstra(u, distCost)
 		for v := range pts {
 			if v == u {
 				continue
@@ -247,72 +258,6 @@ func TestYaoIsSpanner(t *testing.T) {
 	if worst > 3 {
 		t.Errorf("Yao distance stretch %v implausibly large", worst)
 	}
-}
-
-func TestDistributedMatchesCentralized(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		for _, kind := range []pointset.Kind{pointset.KindUniform, pointset.KindGrid, pointset.KindClustered} {
-			pts := pointset.Generate(kind, 150, seed)
-			d := unitdisk.CriticalRange(pts) * 1.25
-			cfg := Config{Theta: math.Pi / 6, Range: d}
-			want := BuildTheta(pts, cfg)
-			got, stats := BuildThetaDistributed(pts, cfg)
-			if !sameEdges(want.N, got.N) {
-				t.Fatalf("%v seed %d: distributed N differs from centralized", kind, seed)
-			}
-			if !sameEdges(want.Yao, got.Yao) {
-				t.Fatalf("%v seed %d: distributed Yao differs", kind, seed)
-			}
-			for u := range pts {
-				for s := range want.NearestOut[u] {
-					if want.NearestOut[u][s] != got.NearestOut[u][s] {
-						t.Fatalf("NearestOut[%d][%d] differs", u, s)
-					}
-					if want.AdmitIn[u][s] != got.AdmitIn[u][s] {
-						t.Fatalf("AdmitIn[%d][%d] differs", u, s)
-					}
-				}
-			}
-			if stats.PositionMsgs != len(pts) {
-				t.Errorf("position msgs = %d, want %d", stats.PositionMsgs, len(pts))
-			}
-			if stats.NeighborhoodMsgs == 0 || stats.ConnectionMsgs == 0 {
-				t.Error("round 2/3 sent no messages")
-			}
-			if stats.ConnectionMsgs < got.N.NumEdges() {
-				t.Errorf("connection msgs %d < edges %d", stats.ConnectionMsgs, got.N.NumEdges())
-			}
-		}
-	}
-}
-
-func TestDistributedPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	BuildThetaDistributed(pointset.Set{geom.Pt(0, 0)}, Config{Theta: 0.5, Range: -1})
-}
-
-func TestMsgKindString(t *testing.T) {
-	if MsgPosition.String() != "Position" || MsgNeighborhood.String() != "Neighborhood" ||
-		MsgConnection.String() != "Connection" || MsgKind(9).String() != "MsgKind(9)" {
-		t.Error("MsgKind strings wrong")
-	}
-}
-
-func sameEdges(a, b *graph.Graph) bool {
-	ea, eb := a.Edges(), b.Edges()
-	if len(ea) != len(eb) {
-		return false
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestThetaPathValidWalk(t *testing.T) {

@@ -331,11 +331,11 @@ func growTable(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// fillTiles fills the sector tables tile-sharded and stitches both graphs:
+// fillTiles fills the sector tables tile-sharded and stitches N:
 // the bounding box is cut into tiles×tiles tiles, a pool of up to workers
 // goroutines computes each tile's rows over its owned nodes plus a 2D halo
-// (the locality radius of Section 2) under topology.tiles, and the graphs
-// are stitched from the global tables under topology.stitch. Peak memory
+// (the locality radius of Section 2) under topology.tiles, and N is
+// stitched from the global tables under topology.stitch. Peak memory
 // is the global tables plus one cache-sized working set per worker, which
 // is what admits n = 10⁶ builds.
 func (t *Topology) fillTiles(ctx context.Context, tiles, workers int, ar *BuildArena) error {
@@ -393,7 +393,6 @@ func (t *Topology) fillTiles(ctx context.Context, tiles, workers int, ar *BuildA
 
 	stopStitch := tel.StartPhase("topology.stitch")
 	_, spanStitch := telemetry.StartChild(ctx, "topology.stitch")
-	t.stitchYao(ar)
 	t.stitchN(ar)
 	stopStitch()
 	spanStitch.SetAttr("edges", float64(t.N.NumEdges()))

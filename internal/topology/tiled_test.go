@@ -51,7 +51,7 @@ func checkTiledEquivalence(t *testing.T, pts []geom.Point, cfg Config, workers i
 		if !reflect.DeepEqual(got.AdmitIn, want.AdmitIn) {
 			t.Fatalf("%s k=%d: AdmitIn diverged", label, k)
 		}
-		if !reflect.DeepEqual(got.Yao, want.Yao) {
+		if !reflect.DeepEqual(got.YaoGraph(), want.YaoGraph()) {
 			t.Fatalf("%s k=%d: Yao graph diverged", label, k)
 		}
 		if !reflect.DeepEqual(got.N, want.N) {
@@ -370,7 +370,7 @@ func TestBuildStrategySelection(t *testing.T) {
 	if !reflect.DeepEqual(got.NearestOut, want.NearestOut) || !reflect.DeepEqual(got.AdmitIn, want.AdmitIn) {
 		t.Fatalf("n=%d: tiled tables diverged from the single-grid build", n)
 	}
-	if !reflect.DeepEqual(got.N, want.N) || !reflect.DeepEqual(got.Yao, want.Yao) {
+	if !reflect.DeepEqual(got.N, want.N) || !reflect.DeepEqual(got.YaoGraph(), want.YaoGraph()) {
 		t.Fatalf("n=%d: tiled graphs diverged from the single-grid build", n)
 	}
 }

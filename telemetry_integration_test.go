@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"toporouting/internal/telemetry"
 )
 
 // simTelemetryOptions is a small instrumented honeycomb scenario shared by
@@ -145,19 +147,36 @@ func TestBuildNetworkTelemetry(t *testing.T) {
 		}
 	}
 
-	// Distributed build records rounds and message counters.
-	tel2 := NewTelemetry()
+	// Distributed build records the protocol's message counters and
+	// emits one dist_build event carrying them.
+	sink := &telemetry.MemorySink{}
+	tel2 := NewTracedTelemetry(sink)
 	_, st, err := BuildNetworkDistributed(pts, Options{Telemetry: tel2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := tel2.Snapshot()
-	if got := m2.Counters["topology.dist.position_msgs"]; got != int64(st.PositionMsgs) {
-		t.Errorf("position msg counter = %d, stats say %d", got, st.PositionMsgs)
+	var distBuilds int
+	for _, ev := range sink.Events() {
+		if ev.Kind == "dist_build" {
+			distBuilds++
+			if ev.Fields["deliveries"] != float64(st.Deliveries) || ev.Fields["connection_msgs"] != float64(st.ConnectionMsgs) {
+				t.Errorf("dist_build event %v disagrees with stats %+v", ev.Fields, st)
+			}
+		}
 	}
-	for _, phase := range []string{"phase.topology.dist.position.ms", "phase.topology.dist.neighborhood.ms", "phase.topology.dist.connection.ms"} {
-		if m2.Buckets[phase].Count != 1 {
-			t.Errorf("distributed phase timer %s did not fire", phase)
+	if distBuilds != 1 {
+		t.Errorf("%d dist_build events, want 1", distBuilds)
+	}
+	m2 := tel2.Snapshot()
+	for name, want := range map[string]int{
+		"topology.dist.builds":            1,
+		"topology.dist.position_msgs":     st.PositionMsgs,
+		"topology.dist.neighborhood_msgs": st.NeighborhoodMsgs,
+		"topology.dist.connection_msgs":   st.ConnectionMsgs,
+		"topology.dist.deliveries":        st.Deliveries,
+	} {
+		if got := m2.Counters[name]; got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -8,8 +8,9 @@
 //   - Topology control: BuildNetwork runs the two-phase local algorithm
 //     ΘALG over a planar point set, producing a connected, constant-degree
 //     topology with O(1) energy-stretch (Theorem 2.2 of the paper).
-//     BuildNetworkDistributed runs the same algorithm as a faithful
-//     3-round message-passing protocol.
+//     BuildNetworkDistributed also reports the message counts of the
+//     paper's 3-round protocol; BuildNetworkDistributedAsync runs that
+//     protocol as asynchronous message passing under injected faults.
 //
 //   - Medium access: the randomized symmetry-breaking MAC (Section 3.3)
 //     and the honeycomb algorithm for fixed transmission strength
@@ -124,7 +125,7 @@ func BuildNetwork(points []Point, opts Options) (*Network, error) {
 }
 
 // BuildArena is reusable backing storage for BuildNetworkContext: the
-// spatial index, sector tables, adjacency slabs, and validation scratch of
+// spatial index, sector tables, adjacency slab, and validation scratch of
 // a ΘALG build, recycled across builds. Serving layers pool arenas to make
 // the per-request build path effectively allocation-free. An arena is not
 // safe for concurrent builds; the zero value (via NewBuildArena) is ready
@@ -316,7 +317,6 @@ func (dn *DynamicNetwork) Snapshot() *Network {
 			Cfg:        top.Cfg,
 			Sectors:    top.Sectors,
 			N:          top.N.Clone(),
-			Yao:        top.Yao.Clone(),
 			NearestOut: cloneTable(top.NearestOut),
 			AdmitIn:    cloneTable(top.AdmitIn),
 		},
@@ -334,22 +334,35 @@ func cloneTable(t [][]int32) [][]int32 {
 // ProtocolStats reports the message traffic of the distributed protocol.
 type ProtocolStats = topology.ProtocolStats
 
-// BuildNetworkDistributed builds the same topology via the faithful
-// 3-round message-passing protocol (Position / Neighborhood / Connection
-// broadcasts), returning the per-round message statistics alongside.
+// BuildNetworkDistributed builds the topology as BuildNetwork does and
+// returns the per-round message counts of the 3-round protocol (Position /
+// Neighborhood / Connection broadcasts) that builds it, read off the
+// per-node sector tables. With Options.Telemetry set it also adds them to
+// the topology.dist.* counters and emits a dist_build trace event.
 func BuildNetworkDistributed(points []Point, opts Options) (*Network, ProtocolStats, error) {
-	if len(points) < 2 {
-		return nil, ProtocolStats{}, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
+	nw, err := BuildNetworkContext(context.Background(), points, opts, 0, nil)
 	if err != nil {
 		return nil, ProtocolStats{}, err
 	}
-	top, st := topology.BuildThetaDistributed(points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry})
-	return &Network{
-		opts: o,
-		top:  top,
-	}, st, nil
+	st := nw.top.ProtocolStats()
+	if tel := nw.opts.Telemetry; tel.Enabled() {
+		tel.Counter("topology.dist.builds").Inc()
+		tel.Counter("topology.dist.position_msgs").Add(int64(st.PositionMsgs))
+		tel.Counter("topology.dist.neighborhood_msgs").Add(int64(st.NeighborhoodMsgs))
+		tel.Counter("topology.dist.connection_msgs").Add(int64(st.ConnectionMsgs))
+		tel.Counter("topology.dist.deliveries").Add(int64(st.Deliveries))
+		if tel.Tracing() {
+			tel.Emit(TraceEvent{Layer: "topology", Kind: "dist_build", Fields: map[string]float64{
+				"n":                 float64(len(points)),
+				"edges":             float64(nw.NumEdges()),
+				"position_msgs":     float64(st.PositionMsgs),
+				"neighborhood_msgs": float64(st.NeighborhoodMsgs),
+				"connection_msgs":   float64(st.ConnectionMsgs),
+				"deliveries":        float64(st.Deliveries),
+			}})
+		}
+	}
+	return nw, st, nil
 }
 
 // N returns the number of nodes.

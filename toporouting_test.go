@@ -182,6 +182,12 @@ func TestBuildNetworkDistributedMatches(t *testing.T) {
 	if _, _, err := BuildNetworkDistributed(pts[:1], Options{}); err == nil {
 		t.Error("single point should error")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("coincident points should panic")
+		}
+	}()
+	BuildNetworkDistributed([]Point{Pt(0, 0), Pt(1, 1), Pt(1, 1)}, Options{Range: 3})
 }
 
 func TestRouterFacade(t *testing.T) {
