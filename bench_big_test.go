@@ -6,7 +6,7 @@ package toporouting
 // tens of seconds and ~1 GiB of working set, far past what the default
 // bench sweep (or CI) should pay.
 //
-// Run:  go test -tags bigbench -bench BuildThetaTiledBig -benchtime 1x
+// Run:  go test -tags bigbench -run '^$' -bench BuildThetaBig -benchtime 1x
 
 import (
 	"context"
@@ -17,10 +17,10 @@ import (
 	"toporouting/internal/topology"
 )
 
-// BenchmarkBuildThetaTiledBig builds the n=10⁶ topology tile-sharded and
-// reports peak heap alongside the standard metrics — the scale target of
-// the tiled construction (README "Scaling up" has measured numbers).
-func BenchmarkBuildThetaTiledBig(b *testing.B) {
+// BenchmarkBuildThetaBig builds the n=10⁶ topology across GOMAXPROCS
+// workers and reports the live heap after the first build alongside the
+// standard metrics (README "Scaling up" has measured numbers).
+func BenchmarkBuildThetaBig(b *testing.B) {
 	const n = 1000000
 	pts := benchPoints(n)
 	d := 1.6 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))

@@ -438,11 +438,12 @@ func BenchmarkBuildThetaParallel(b *testing.B) {
 }
 
 // BenchmarkBuildThetaTiled measures the from-scratch build across
-// GOMAXPROCS workers at the scales tiling exists for: the builder keeps
-// n=10⁴ on one grid and tiles n=10⁵. The transmission range is the standard
-// Θ(√(log n / n)) connectivity radius (a fixed formula — CriticalRange's
-// global MST would dominate setup at these sizes). The n=10⁶ variant lives
-// behind -tags bigbench in bench_big_test.go.
+// GOMAXPROCS workers at n=10⁴ and n=10⁵. (The name is kept from the former
+// tiled fill: BENCH_baseline.json rows and scripts/bench.sh select it.)
+// The transmission range is the standard Θ(√(log n / n)) connectivity
+// radius (a fixed formula — CriticalRange's global MST would dominate setup
+// at these sizes). The n=10⁶ variant, BenchmarkBuildThetaBig, lives behind
+// -tags bigbench in bench_big_test.go.
 func BenchmarkBuildThetaTiled(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		pts := benchPoints(n)

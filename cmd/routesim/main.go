@@ -29,9 +29,7 @@
 //
 // -workers caps the worker pool of centralized topology builds (0 = a
 // sequential build) and of interference-set construction; output is
-// bit-identical for every worker count. The builder tiles large point sets
-// (k×k tiles, halo-stitched) on its own — same topology, lower peak
-// memory.
+// bit-identical for every worker count.
 //
 // Observability: -trace streams one JSON event per line (router steps, MAC
 // rounds, topology builds, rebuilds) into the given file; -metrics prints

@@ -20,8 +20,7 @@
 // run is certified against the centralized builder — edge-identical when
 // loss-free, connected and degree-bounded under faults. -workers on the main
 // command caps the goroutines of the centralized build (0 = sequential);
-// the builder tiles large point sets on its own, and the topology is
-// identical for every worker count.
+// the topology is identical for every worker count.
 //
 // -distributed also prints the message counts of the synchronous 3-round
 // protocol (Position / Neighborhood / Connection) that builds the same

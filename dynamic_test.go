@@ -2,6 +2,7 @@ package toporouting
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -110,6 +111,9 @@ func TestDynamicNetworkErrors(t *testing.T) {
 	}
 	if dn.N() != 30 {
 		t.Fatalf("failed events mutated the network: n=%d", dn.N())
+	}
+	if _, err := BuildDynamicNetwork([]Point{Pt(0, 0), Pt(1, 1), Pt(1, 1)}, Options{Range: 3}); !errors.Is(err, ErrCoincidentPoints) {
+		t.Errorf("coincident points: got %v, want ErrCoincidentPoints", err)
 	}
 }
 

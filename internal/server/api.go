@@ -82,8 +82,8 @@ func (f *faultSpec) plan() toporouting.FaultPlan {
 type topologyRequest struct {
 	pointSpec
 	// Mode selects the algorithm: "centralized" (the default; "parallel"
-	// and "tiled" are accepted as aliases, since the builder picks its own
-	// strategy from the input) or "distributed" (the asynchronous
+	// and "tiled" are accepted as aliases, since there is one centralized
+	// build) or "distributed" (the asynchronous
 	// message-passing protocol engine, optionally under Faults).
 	Mode  string  `json:"mode,omitempty"`
 	Theta float64 `json:"theta,omitempty"`

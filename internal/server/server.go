@@ -327,7 +327,7 @@ func (s *Server) retryAfterSeconds() int {
 
 // safeRun executes the job body under ctx (the job context, possibly
 // carrying a run span), converting a panic (e.g. the topology builder's
-// duplicate-position panic) into a job error instead of taking down the
+// invalid-configuration panic) into a job error instead of taking down the
 // worker.
 func safeRun(j *job, ctx context.Context) (result any, err error) {
 	defer func() {
@@ -410,8 +410,9 @@ func (s *Server) runJob(parent context.Context, kind string, timeoutMS int, run 
 
 // writeRunError renders a failed runJob: backpressure shedding (429 with a
 // derived Retry-After, 503 while draining), an expired request deadline
-// (504), a cancelled request (client gone or drain forcing, 503), and 500
-// for everything else.
+// (504), a cancelled request (client gone or drain forcing, 503), an input
+// the builder rejects (coincident points, 400), and 500 for everything
+// else.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
@@ -429,6 +430,8 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 		// Client disconnect or drain; the client is likely gone, but be
 		// explicit for the ones that are not.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled")
+	case errors.Is(err, toporouting.ErrCoincidentPoints):
+		writeError(w, http.StatusBadRequest, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
@@ -523,9 +526,8 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	var run func(context.Context) (any, error)
 	switch mode {
 	case "", "centralized", "parallel", "tiled":
-		// One ΘALG build serves every centralized alias — the builder picks
-		// its strategy from the input — so they share one response and one
-		// cache entry.
+		// One ΘALG build serves every centralized alias, so they share one
+		// response and one cache entry.
 		mode = "centralized"
 		run = func(ctx context.Context) (any, error) {
 			start := time.Now()
@@ -596,7 +598,7 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		Theta: req.Theta, Range: req.Range, Delta: req.Delta,
 		Telemetry: s.cfg.Telemetry,
 	}
-	includeTransmission, workers := req.IncludeTransmission, req.Workers
+	includeTransmission, workers := req.IncludeTransmission, clampWorkers(req.Workers, runtime.GOMAXPROCS(0))
 	run := func(ctx context.Context) (any, error) {
 		start := time.Now()
 		ar := getArena()
@@ -633,6 +635,14 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// clampWorkers caps a request's workers field at limit (GOMAXPROCS in the
+// handlers): the build, the interference-set fan-out and the Monte-Carlo
+// sweep each start up to that many goroutines, and more than the
+// processors available buys nothing.
+func clampWorkers(workers, limit int) int {
+	return min(workers, limit)
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req := simReqPool.Get().(*simulateRequest)
 	defer putSimulateReq(req)
@@ -657,6 +667,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("steps×runs %d exceeds the server cap of %d", total, s.cfg.MaxSteps))
 		return
 	}
+	req.Workers = clampWorkers(req.Workers, runtime.GOMAXPROCS(0))
 	opts, err := req.options(pts, s.cfg.Telemetry)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -182,23 +182,57 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestPanicRecovery feeds the topology builder duplicate positions (which
-// panic inside ΘALG) and asserts the worker survives: the request fails
-// with 500 and the server still serves afterwards.
+// TestPanicRecovery admits a job whose body panics and asserts the worker
+// survives: the job fails with a "job panicked" error and the server still
+// serves afterwards.
 func TestPanicRecovery(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, body := postJSON(t, ts.URL+"/v1/topology", map[string]any{
-		"points": [][2]float64{{0, 0}, {0, 0}, {1, 1}},
+	s, ts := newTestServer(t, Config{Workers: 1})
+	_, err := s.runJob(context.Background(), "boom", 0, func(context.Context) (any, error) {
+		panic("boom")
 	})
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("duplicate points: status = %d, want 500 (body %s)", resp.StatusCode, body)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking job: err = %v, want a job-panicked error", err)
 	}
-	if !strings.Contains(string(body), "panicked") {
-		t.Fatalf("error should mention the panic, got %s", body)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/topology", map[string]any{"dist": "uniform", "n": 20})
+	resp, _ := postJSON(t, ts.URL+"/v1/topology", map[string]any{"dist": "uniform", "n": 20})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("server did not survive the panic: status %d", resp.StatusCode)
+	}
+}
+
+// TestCoincidentPoints400 pins that points repeating a position are a
+// client error on every endpoint that builds: 400 with the builder's
+// message, not a 500.
+func TestCoincidentPoints400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	dup := [][2]float64{{0, 0}, {0, 0}, {1, 1}}
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/topology", map[string]any{"points": dup}},
+		{"/v1/interference", map[string]any{"points": dup, "workers": 2}},
+		{"/v1/sessions", map[string]any{"points": dup}},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %s)", c.path, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "coincident points") {
+			t.Fatalf("%s: error should name the coincident points, got %s", c.path, body)
+		}
+	}
+}
+
+// TestClampWorkers pins the cap on a request's workers field: counts at or
+// below the limit (including 0, the sequential default) pass through, and
+// larger ones are cut to the limit.
+func TestClampWorkers(t *testing.T) {
+	for _, c := range []struct{ workers, limit, want int }{
+		{0, 4, 0}, {-3, 4, -3}, {1, 4, 1}, {4, 4, 4}, {5, 4, 4}, {1 << 30, 2, 2},
+	} {
+		if got := clampWorkers(c.workers, c.limit); got != c.want {
+			t.Errorf("clampWorkers(%d, %d) = %d, want %d", c.workers, c.limit, got, c.want)
+		}
 	}
 }
 

@@ -98,10 +98,10 @@ func requireSameReads(t *testing.T, a, b *Session, label string) {
 // the heavy lifting: the restore rebuilds from points only and must land on
 // the checkpointed edge set exactly.
 //
-// Checkpoints written before the build strategy became a property of the
-// input carry a "mode" key naming it. Each case injects one such value into
-// the wire bytes: the decoder must ignore it, and the restore must land on
-// the same session, since every strategy built bit-identical tables.
+// Older checkpoints carry a "mode" key naming a build strategy. Each case
+// injects one such value into the wire bytes: the decoder must ignore it,
+// and the restore must land on the same session, since every strategy
+// built bit-identical tables.
 func TestCheckpointRoundTripModes(t *testing.T) {
 	for _, mode := range []string{"centralized", "parallel", "tiled"} {
 		t.Run(mode, func(t *testing.T) {

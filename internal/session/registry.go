@@ -214,8 +214,8 @@ func (r *Registry) host(s *Session, counter string) error {
 
 // build runs the initial ΘALG build of a session whose slot tenant has
 // already reserved, releasing the slot when the build fails. A panic
-// counts as a failure: the builder panics on duplicate positions, and the
-// caller's recover turns that into a client error, so the slot must not
+// counts as a failure: the builder panics on an invalid configuration, and
+// the caller's recover turns that into a client error, so the slot must not
 // stay taken. The panic is re-raised after the release.
 func (r *Registry) build(ctx context.Context, tenant string, pts []geom.Point, cfg topology.Config) (top *topology.Topology, err error) {
 	defer func() {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"toporouting/internal/pointset"
+	"toporouting/internal/topology"
 )
 
 func testRegistry(t *testing.T, cfg Config) *Registry {
@@ -75,26 +76,22 @@ func TestRegistryGlobalCapAndFailedBuildReleasesSlot(t *testing.T) {
 	mustCreate(t, r2, "t", 50, 4, BuildSpec{})
 }
 
-// TestRegistryPanickedBuildReleasesSlot pins that a build which panics —
-// the builder's answer to duplicate positions — gives the tenant's slot
-// back before the panic reaches the caller's recover, on both the create
-// and the restore path. A leaked slot would lock the tenant out after
-// MaxSessionsPerTenant bad requests.
+// TestRegistryPanickedBuildReleasesSlot pins that a failed build — here
+// the builder's ErrCoincidentPoints for duplicate positions — gives the
+// tenant's slot back, on both the create and the restore path. A leaked
+// slot would lock the tenant out after MaxSessionsPerTenant bad requests.
 func TestRegistryPanickedBuildReleasesSlot(t *testing.T) {
 	r := testRegistry(t, Config{MaxSessionsPerTenant: 2})
 	dup := pointset.Generate(pointset.KindUniform, 50, 3)
 	dup[7] = dup[3]
-	mustPanic := func(label string, f func()) {
+	mustFail := func(label string, f func() error) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: want a duplicate-position panic", label)
-			}
-		}()
-		f()
+		if err := f(); !errors.Is(err, topology.ErrCoincidentPoints) {
+			t.Fatalf("%s: got %v, want ErrCoincidentPoints", label, err)
+		}
 	}
 	for i := 0; i < 3; i++ {
-		mustPanic("create", func() { _, _ = r.Create(context.Background(), "t", dup, BuildSpec{}) })
+		mustFail("create", func() error { _, err := r.Create(context.Background(), "t", dup, BuildSpec{}); return err })
 	}
 	cp, err := mustCreate(t, r, "t", 50, 4, BuildSpec{}).Checkpoint(context.Background())
 	if err != nil {
@@ -103,7 +100,7 @@ func TestRegistryPanickedBuildReleasesSlot(t *testing.T) {
 	cp.ID = "s-restored"
 	cp.Points[7] = cp.Points[3]
 	for i := 0; i < 3; i++ {
-		mustPanic("restore", func() { _, _ = r.Restore(context.Background(), cp) })
+		mustFail("restore", func() error { _, err := r.Restore(context.Background(), cp); return err })
 	}
 	// One session is hosted; the tenant's second slot is still free.
 	mustCreate(t, r, "t", 50, 5, BuildSpec{})
@@ -427,9 +424,8 @@ func TestRegistryCloseIsDrain(t *testing.T) {
 	r.Close() // idempotent
 }
 
-// TestBuildModesProduceWorkingSessions hosts one session per build
-// strategy the builder picks from the input — one grid at n = 120, tiles
-// at n = 40000 — and applies an event to each.
+// TestBuildModesProduceWorkingSessions hosts a small (n = 120) and a large
+// (n = 40000) session and applies an event to each.
 func TestBuildModesProduceWorkingSessions(t *testing.T) {
 	sizes := []int{120, 40000}
 	if testing.Short() {

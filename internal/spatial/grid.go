@@ -14,9 +14,9 @@ import (
 // Grid is a uniform-grid index over a point set, stored in flat CSR
 // arrays: bucket offsets plus one contiguous index slice, filled by a
 // counting sort. Fill reuses those arrays, so a caller that rebuilds an
-// index per call (a pooled build arena, a tile worker, the interference-set
-// computation) allocates nothing once grown. The zero Grid is empty; index
-// points with NewGrid or Fill.
+// index per call (a pooled build arena, the interference-set computation)
+// allocates nothing once grown. The zero Grid is empty; index points with
+// NewGrid or Fill.
 //
 // Visit order is deterministic: bucket-major, ascending point index within
 // each bucket.
@@ -116,6 +116,13 @@ func (g *Grid) Len() int { return len(g.pts) }
 
 // Point returns the i-th indexed point.
 func (g *Grid) Point(i int) geom.Point { return g.pts[i] }
+
+// Order returns every indexed point once, in the grid's visit order:
+// bucket-major (row-major over cells), ascending index within a bucket.
+// Consecutive entries are spatially close, so a loop over the points in
+// this order keeps neighborhood scans cache-local. The slice aliases the
+// grid's storage and is valid until the next Fill.
+func (g *Grid) Order() []int32 { return g.idx[:len(g.pts)] }
 
 // CellSize returns the side length of the grid cells.
 func (g *Grid) CellSize() float64 { return g.cell }

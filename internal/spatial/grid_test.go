@@ -241,6 +241,21 @@ func TestDeterministicVisitOrder(t *testing.T) {
 			t.Fatal("visit order not deterministic")
 		}
 	}
+	// Order is the visit order of a query covering the whole set, and
+	// tracks the point count across refills.
+	var all []int32
+	g.ForEachWithin(geom.Pt(2, 2), 100, func(j int) { all = append(all, int32(j)) })
+	if len(all) != len(pts) || !slices.Equal(all, g.Order()) {
+		t.Fatal("Order differs from the visit order of a covering query")
+	}
+	g.Fill(pts[:50], 0)
+	if len(g.Order()) != 50 {
+		t.Fatalf("Order after a smaller refill has %d entries, want 50", len(g.Order()))
+	}
+	g.Fill(nil, 0)
+	if len(g.Order()) != 0 {
+		t.Fatalf("Order of an empty grid has %d entries", len(g.Order()))
+	}
 }
 
 // checkFill fills g with pts and checks every query against the

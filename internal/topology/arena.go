@@ -72,5 +72,5 @@ func (a *BuildArena) Footprint() int {
 // BuildArena) — callers own the release ordering: encode or copy out
 // everything needed before reusing ar.
 func BuildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena) (*Topology, error) {
-	return build(ctx, pts, cfg, workers, ar, 0)
+	return build(ctx, pts, cfg, workers, ar)
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -60,20 +61,19 @@ func TestBuildThetaArenaEquivalence(t *testing.T) {
 }
 
 // TestBuildThetaArenaDistinctPanic pins that the recycled distinctness map
-// still catches duplicate positions after prior successful builds.
+// still catches duplicate positions after prior successful builds. The
+// arena builder reports them as ErrCoincidentPoints; only BuildTheta
+// panics.
 func TestBuildThetaArenaDistinctPanic(t *testing.T) {
 	var ar BuildArena
 	good := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}
 	if _, err := BuildThetaArena(context.Background(), good, Config{Range: 2}, 1, &ar); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate positions did not panic on arena reuse")
-		}
-	}()
 	dup := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 0)}
-	_, _ = BuildThetaArena(context.Background(), dup, Config{Range: 2}, 1, &ar)
+	if top, err := BuildThetaArena(context.Background(), dup, Config{Range: 2}, 1, &ar); top != nil || !errors.Is(err, ErrCoincidentPoints) {
+		t.Fatalf("duplicate positions on arena reuse: got (%v, %v), want ErrCoincidentPoints", top, err)
+	}
 }
 
 // BenchmarkBuildThetaArena measures the steady-state allocation win of the

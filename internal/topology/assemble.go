@@ -7,10 +7,15 @@ import (
 )
 
 // CheckDistinct enforces the paper's standing assumption of distinct node
-// positions (exported for alternative builders such as the message-passing
-// engine in internal/dist, which must reject degenerate inputs before
-// running the protocol).
-func CheckDistinct(pts []geom.Point) { checkDistinct(pts) }
+// positions, panicking with an error wrapping ErrCoincidentPoints
+// (exported for alternative builders such as the message-passing engine in
+// internal/dist, which must reject degenerate inputs before running the
+// protocol).
+func CheckDistinct(pts []geom.Point) {
+	if err := checkDistinct(pts); err != nil {
+		panic(err)
+	}
+}
 
 // AssembleTables constructs a Topology from externally computed per-sector
 // selection and admission tables — the output surface of builders that do

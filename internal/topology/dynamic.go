@@ -151,8 +151,8 @@ func NewDynamic(pts []geom.Point, cfg Config) *Dynamic {
 }
 
 // NewDynamicFrom wraps an already-built topology — typically a
-// BuildThetaContext result, which tiles large inputs across workers — as a
-// churn-maintenance handle without rebuilding it. The handle takes
+// BuildThetaContext result — as a churn-maintenance handle without
+// rebuilding it. The handle takes
 // ownership of t: its tables and N mutate in place across Apply
 // calls. Positions are copied first, so the slice the topology was built
 // over stays untouched. Like NewDynamic it rejects per-node Orientations,

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -156,5 +157,38 @@ func TestDynamicTelemetry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(touched.Bounds, telemetry.DefCountBuckets) {
 		t.Fatalf("topology.repair_touched bounds = %v, want DefCountBuckets", touched.Bounds)
+	}
+}
+
+// TestDynamicFromParallelBuild drives churn repair on a topology built with
+// 4 workers (wrapped via NewDynamicFrom) and on a sequential NewDynamic
+// through identical event sequences: every repair must leave both in the
+// same state, and that state must equal a rebuild, so a parallel build is
+// a valid starting point for incremental maintenance.
+func TestDynamicFromParallelBuild(t *testing.T) {
+	const events = 30
+	for seed := int64(0); seed < 12; seed++ {
+		pts := pointset.Generate(pointset.KindUniform, 80+int(seed)*10, seed)
+		cfg := Config{Theta: math.Pi / 6, Range: unitdisk.CriticalRange(pts) * 1.3}
+		par, err := BuildThetaContext(context.Background(), append([]geom.Point(nil), pts...), cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dPar := NewDynamicFrom(par)
+		dSeq := NewDynamic(pts, cfg)
+		rng := rand.New(rand.NewSource(seed * 31))
+		for e := 0; e < events; e++ {
+			ev := randomEvent(rng, dSeq)
+			dSeq.Apply(ev)
+			dPar.Apply(ev)
+			if !reflect.DeepEqual(dPar.Topology().N.Edges(), dSeq.Topology().N.Edges()) {
+				t.Fatalf("seed %d event %d (%v): N edges diverged", seed, e, ev)
+			}
+		}
+		if !reflect.DeepEqual(dPar.Topology().NearestOut, dSeq.Topology().NearestOut) ||
+			!reflect.DeepEqual(dPar.Topology().AdmitIn, dSeq.Topology().AdmitIn) {
+			t.Fatalf("seed %d: sector tables diverged after %d events", seed, events)
+		}
+		requireEquivalent(t, dPar, "parallel-built")
 	}
 }

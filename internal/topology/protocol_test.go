@@ -93,8 +93,8 @@ func TestYaoEdgesTelemetry(t *testing.T) {
 		return top
 	}, pts, math.Pi/6)
 
-	check("tiled", func(cfg Config) *Topology {
-		top, err := build(context.Background(), pts, cfg, 2, nil, 4)
+	check("workers=4", func(cfg Config) *Topology {
+		top, err := BuildThetaContext(context.Background(), pts, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,6 +41,9 @@ func TestThetaPathClusteredLargeRegression(t *testing.T) {
 
 func TestBuildThetaRejectsCoincidentPoints(t *testing.T) {
 	pts := pointset.Set{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(1, 1)}
+	if top, err := BuildThetaContext(context.Background(), pts, Config{Theta: math.Pi / 6, Range: 3}, 2); top != nil || !errors.Is(err, ErrCoincidentPoints) {
+		t.Fatalf("BuildThetaContext: got (%v, %v), want ErrCoincidentPoints", top, err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for coincident points")

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -135,24 +136,49 @@ func (s *phase1Scanner) visit(v int) {
 	}
 }
 
-// scan processes rows [lo, hi), checking ctx every cancelStride rows. It
-// returns early (with rows partially filled) once the context dies; callers
-// check ctx.Err() after all ranges complete, as fillGrid does.
-func (s *phase1Scanner) scan(ctx context.Context, lo, hi int, idx withinIndex) {
+// scan processes the rows of nodes, checking ctx every cancelStride rows.
+// It returns early (with rows partially filled) once the context dies;
+// callers check ctx.Err() after all parts complete, as fillGrid does.
+func (s *phase1Scanner) scan(ctx context.Context, nodes []int32, idx withinIndex) {
 	t := s.t
 	fn := s.visit
-	for u := lo; u < hi; u++ {
-		if u%cancelStride == 0 && ctx.Err() != nil {
+	for i, u := range nodes {
+		if i%cancelStride == 0 && ctx.Err() != nil {
 			return
 		}
-		s.u, s.row = u, t.NearestOut[u]
+		s.u, s.row = int(u), t.NearestOut[u]
 		idx.ForEachWithin(t.Pts[u], t.Cfg.Range, fn)
+	}
+}
+
+// scatterAdmissions runs phase 2's scatter over the rows of nodes for the
+// targets in [lo, hi): every w in nodes that selected such a v is an
+// in-neighbor candidate of v in sector S(v, w), and v keeps the closest.
+// Only rows AdmitIn[lo:hi] are written, so workers owning disjoint target
+// ranges never race, and the winners do not depend on the visit order
+// because closer is a strict total order. It checks ctx like
+// phase1Scanner.scan.
+func (t *Topology) scatterAdmissions(ctx context.Context, nodes []int32, lo, hi int32) {
+	for i, w := range nodes {
+		if i%cancelStride == 0 && ctx.Err() != nil {
+			return
+		}
+		for _, v := range t.NearestOut[w] {
+			if v < lo || v >= hi {
+				continue
+			}
+			s := t.SectorOf(int(v), int(w))
+			cur := t.AdmitIn[v][s]
+			if cur < 0 || closer(t.Pts, int(v), int(w), int(cur)) {
+				t.AdmitIn[v][s] = w
+			}
+		}
 	}
 }
 
 // admitRow recomputes node u's phase-2 admissions in place by gathering:
 // per sector of u, the nearest in-range w that selected u in phase 1. This
-// is the per-node (gather) formulation of the scatter loop in fillGrid —
+// is the per-node (gather) formulation of scatterAdmissions —
 // both compute the maximum of the same candidate set under the same strict
 // order, so they agree exactly. Whether w selected u is read off w's row:
 // a row holds u only in the sector u falls into, so in-range nodes that
@@ -183,22 +209,30 @@ func rowHas(row []int32, v int32) bool {
 	return false
 }
 
+// ErrCoincidentPoints is the error of a build over a point set in which two
+// nodes share a position (see checkDistinct).
+var ErrCoincidentPoints = errors.New("topology: coincident points; ΘALG requires distinct positions")
+
 // BuildTheta runs ΘALG on pts and returns the resulting topology. It panics
-// on an invalid configuration. The transmission graph G* is implicit: nodes
-// within distance Cfg.Range are mutually reachable.
+// on an invalid configuration or coincident points. The transmission graph
+// G* is implicit: nodes within distance Cfg.Range are mutually reachable.
 func BuildTheta(pts []geom.Point, cfg Config) *Topology {
-	t, _ := build(context.Background(), pts, cfg, 1, nil, 0)
+	t, err := build(context.Background(), pts, cfg, 1, nil)
+	if err != nil {
+		panic(err)
+	}
 	return t
 }
 
 // BuildThetaContext is BuildTheta under a cancellation context: the build
 // checks ctx between row batches of every phase and returns (nil, ctx.Err())
 // promptly after cancellation, so a caller whose client went away stops
-// burning CPU mid-build. workers caps the goroutines the build fans out
-// over (≤ 1 stays sequential). The topology is identical for every worker
-// count.
+// burning CPU mid-build. Coincident points return an error wrapping
+// ErrCoincidentPoints instead of panicking. workers caps the goroutines
+// the build fans out over (≤ 1 stays sequential). The topology is
+// identical for every worker count.
 func BuildThetaContext(ctx context.Context, pts []geom.Point, cfg Config, workers int) (*Topology, error) {
-	return build(ctx, pts, cfg, workers, nil, 0)
+	return build(ctx, pts, cfg, workers, nil)
 }
 
 // cancelStride is how many per-node rows a build loop processes between
@@ -209,15 +243,10 @@ const cancelStride = 256
 
 // build is the one ΘALG builder behind every entry point. It validates the
 // input, takes the sector tables (fresh, or recycled from ar when non-nil),
-// fills them, stitches N from them, and records telemetry. Only the fill
-// varies, and it is chosen from the input: tiles ≤ 0 asks tilesFor, which
-// keeps every n ≤ 32768 on one spatial grid over the whole point set
-// (fillGrid) and cuts larger sets into k×k tiles with 2D halos
-// (fillTiles). Tests force tiles = 1 for the single-grid reference and
-// k > 1 for a given tiling. ΘALG is local, so every fill yields
-// bit-identical tables, and the shared stitch makes N (adjacency order
-// included) bit-identical too. workers caps the fill's goroutines.
-func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena, tiles int) (*Topology, error) {
+// fills them and stitches N from them (fillGrid), and records telemetry.
+// workers caps the fill's goroutines; the tables and N (adjacency order
+// included) are bit-identical for every worker count.
+func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena) (*Topology, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("topology: non-positive range %v", cfg.Range))
@@ -225,13 +254,17 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 	sectors := geom.NewSectors(cfg.Theta)
 	n := len(pts)
 	k := sectors.Count()
-	if ar != nil {
-		checkDistinctIn(pts, ar.distinctScratch(n))
-	} else {
-		checkDistinct(pts)
-	}
 	if cfg.Orientations != nil && len(cfg.Orientations) != n {
 		panic(fmt.Sprintf("topology: %d orientations for %d points", len(cfg.Orientations), n))
+	}
+	var err error
+	if ar != nil {
+		err = checkDistinctIn(pts, ar.distinctScratch(n))
+	} else {
+		err = checkDistinct(pts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	t := &Topology{
 		Pts:     pts,
@@ -244,23 +277,11 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 		t.NearestOut = newSectorTable(n, k)
 		t.AdmitIn = newSectorTable(n, k)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if tiles <= 0 {
-		tiles = tilesFor(pts, cfg.Range)
-	}
 	tel := cfg.Telemetry
 	stopBuild := tel.StartPhase("topology.build")
 	ctx, spanBuild := telemetry.StartChild(ctx, "topology.build")
 	spanBuild.SetAttr("n", float64(n))
-	var err error
-	if tiles == 1 {
-		err = t.fillGrid(ctx, workers, ar)
-	} else {
-		spanBuild.SetAttr("tiles", float64(tiles))
-		err = t.fillTiles(ctx, tiles, workers, ar)
-	}
+	err = t.fillGrid(ctx, workers, ar)
 	stopBuild()
 	if err != nil {
 		spanBuild.End()
@@ -282,12 +303,7 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 				"yao_edges":  yaoEdges,
 				"max_degree": float64(t.N.MaxDegree()),
 			}
-			name := ""
-			if tiles > 1 {
-				name = "tiled"
-				fields["tiles"] = float64(tiles)
-			}
-			tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Name: name, Fields: fields})
+			tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Fields: fields})
 		}
 	}
 	return t, nil
@@ -295,12 +311,19 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 
 // fillGrid fills the sector tables from one spatial grid over the whole
 // point set and stitches N, under the topology.phase1 and topology.phase2
-// spans. Phase 1 fans out over up to workers goroutines
-// owning disjoint node ranges; each row reads only immutable positions, so
-// the result is identical for every worker count.
+// spans. Both phases visit the nodes in the grid's bucket order, so
+// consecutive rows scan overlapping neighborhoods and stay cache-local.
+// They fan out over up to workers goroutines: phase 1 gives each one
+// contiguous slice of that order, phase 2 one contiguous range of target
+// rows. Phase 1 reads only positions and phase 2 only the finished phase-1
+// table, and no two goroutines write the same row, so the result is
+// identical for every worker count.
 func (t *Topology) fillGrid(ctx context.Context, workers int, ar *BuildArena) error {
 	n := len(t.Pts)
 	tel := t.Cfg.Telemetry
+	if workers > n {
+		workers = n
+	}
 
 	// Phase 1: every node selects, in each of its sectors, the nearest
 	// node within transmission range. This is purely local given the
@@ -314,61 +337,55 @@ func (t *Topology) fillGrid(ctx context.Context, workers int, ar *BuildArena) er
 	} else {
 		idx = spatial.NewGrid(t.Pts, t.Cfg.Range)
 	}
-	if workers > n {
-		workers = n
-	}
+	order := idx.Order()
 	if workers > 1 {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			lo, hi := w*n/workers, (w+1)*n/workers
+			part := order[w*n/workers : (w+1)*n/workers]
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func() {
 				defer wg.Done()
 				sc := phase1Scanner{t: t}
-				sc.scan(ctx, lo, hi, idx)
-			}(lo, hi)
+				sc.scan(ctx, part, idx)
+			}()
 		}
 		wg.Wait()
 	} else {
 		sc := phase1Scanner{t: t}
-		sc.scan(ctx, 0, n, idx)
-	}
-	if err := ctx.Err(); err != nil {
-		stopPhase1()
-		spanP1.End()
-		return err
+		sc.scan(ctx, order, idx)
 	}
 	stopPhase1()
 	spanP1.End()
-	stopPhase2 := tel.StartPhase("topology.phase2")
-	_, spanP2 := telemetry.StartChild(ctx, "topology.phase2")
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 
 	// Phase 2: every node u admits, per sector, only the nearest node w
 	// that selected u (u ∈ N(w)). In the distributed protocol this is the
 	// neighborhood round (w tells u "I selected you") followed by the
 	// connection round (u answers its per-sector winners).
-	for w := 0; w < n; w++ {
-		if w%cancelStride == 0 && ctx.Err() != nil {
-			stopPhase2()
-			spanP2.End()
-			return ctx.Err()
+	stopPhase2 := tel.StartPhase("topology.phase2")
+	_, spanP2 := telemetry.StartChild(ctx, "topology.phase2")
+	defer spanP2.End()
+	defer stopPhase2()
+	if workers > 1 {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			lo, hi := int32(w*n/workers), int32((w+1)*n/workers)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				t.scatterAdmissions(ctx, order, lo, hi)
+			}()
 		}
-		for _, v := range t.NearestOut[w] {
-			if v < 0 {
-				continue
-			}
-			// w selected v, so w is an in-neighbor candidate of v in
-			// sector S(v, w).
-			s := t.SectorOf(int(v), w)
-			cur := t.AdmitIn[v][s]
-			if cur < 0 || closer(t.Pts, int(v), w, int(cur)) {
-				t.AdmitIn[v][s] = int32(w)
-			}
-		}
+		wg.Wait()
+	} else {
+		t.scatterAdmissions(ctx, order, 0, int32(n))
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	t.stitchN(ar)
-	stopPhase2()
-	spanP2.End()
 	return nil
 }
 
@@ -408,20 +425,22 @@ func closure(tab [][]int32, k int, slab *graph.Slab) *graph.Graph {
 // checkDistinct enforces the paper's standing assumption of distinct node
 // positions (Section 2.1 assumes unique pairwise distances; our
 // deterministic tie-break relaxes uniqueness, but zero-distance pairs make
-// the sector geometry — and hence the θ-path recursion — ill-defined).
-func checkDistinct(pts []geom.Point) {
-	checkDistinctIn(pts, make(map[geom.Point]int, len(pts)))
+// the sector geometry — and hence the θ-path recursion — ill-defined). The
+// error wraps ErrCoincidentPoints and names the first coincident pair.
+func checkDistinct(pts []geom.Point) error {
+	return checkDistinctIn(pts, make(map[geom.Point]int, len(pts)))
 }
 
 // checkDistinctIn is checkDistinct into a caller-provided (cleared) map, so
 // arena builds recycle the map's buckets instead of reallocating them.
-func checkDistinctIn(pts []geom.Point, seen map[geom.Point]int) {
+func checkDistinctIn(pts []geom.Point, seen map[geom.Point]int) error {
 	for i, p := range pts {
 		if j, dup := seen[p]; dup {
-			panic(fmt.Sprintf("topology: nodes %d and %d share position (%v, %v); ΘALG requires distinct positions", j, i, p.X, p.Y))
+			return fmt.Errorf("%w: nodes %d and %d share position (%v, %v)", ErrCoincidentPoints, j, i, p.X, p.Y)
 		}
 		seen[p] = i
 	}
+	return nil
 }
 
 // newSectorTable allocates an n×k table initialized to -1.

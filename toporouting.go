@@ -117,9 +117,14 @@ func (nw *Network) transmissionGraph() *graph.Graph {
 	return nw.gstarG
 }
 
+// ErrCoincidentPoints is the error the builders return when two points
+// share a position: ΘALG requires distinct positions.
+var ErrCoincidentPoints = topology.ErrCoincidentPoints
+
 // BuildNetwork runs ΘALG over the given points. It returns an error for
-// invalid options or fewer than two points; it does not require G* to be
-// connected, but stretch evaluation reports disconnected pairs.
+// invalid options, fewer than two points or coincident points (wrapping
+// ErrCoincidentPoints); it does not require G* to be connected, but
+// stretch evaluation reports disconnected pairs.
 func BuildNetwork(points []Point, opts Options) (*Network, error) {
 	return BuildNetworkContext(context.Background(), points, opts, 0, nil)
 }
@@ -146,9 +151,7 @@ func (ar *BuildArena) Footprint() int { return ar.a.Footprint() }
 // cancelled (client disconnect, deadline, server drain) stops the build
 // promptly and receives ctx.Err(). workers caps the build's goroutines
 // (≤ 1 stays sequential) and the interference-set fan-out of the returned
-// network. How the build runs — one spatial grid, or tiles with 2D halos
-// for large point sets — follows from the input; the topology is identical
-// either way and for every worker count.
+// network; the topology is identical for every worker count.
 //
 // A non-nil ar makes the build reuse its storage. The returned Network
 // then aliases the arena's memory: it is valid only until the next build
@@ -212,7 +215,8 @@ type DynamicNetwork struct {
 }
 
 // BuildDynamicNetwork builds the initial topology (over a copy of points)
-// and returns the churn-maintenance handle.
+// and returns the churn-maintenance handle. Like BuildNetwork it returns an
+// error for invalid options, fewer than two points or coincident points.
 func BuildDynamicNetwork(points []Point, opts Options) (*DynamicNetwork, error) {
 	if len(points) < 2 {
 		return nil, errors.New("toporouting: need at least two points")
@@ -221,8 +225,11 @@ func BuildDynamicNetwork(points []Point, opts Options) (*DynamicNetwork, error) 
 	if err != nil {
 		return nil, err
 	}
-	dyn := topology.NewDynamic(points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry})
-	return &DynamicNetwork{dyn: dyn, opts: o}, nil
+	top, err := topology.BuildThetaContext(context.Background(), points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &DynamicNetwork{dyn: topology.NewDynamicFrom(top), opts: o}, nil
 }
 
 // Apply executes one churn event and repairs the topology locally,

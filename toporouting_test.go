@@ -1,6 +1,7 @@
 package toporouting
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -182,12 +183,9 @@ func TestBuildNetworkDistributedMatches(t *testing.T) {
 	if _, _, err := BuildNetworkDistributed(pts[:1], Options{}); err == nil {
 		t.Error("single point should error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("coincident points should panic")
-		}
-	}()
-	BuildNetworkDistributed([]Point{Pt(0, 0), Pt(1, 1), Pt(1, 1)}, Options{Range: 3})
+	if _, _, err := BuildNetworkDistributed([]Point{Pt(0, 0), Pt(1, 1), Pt(1, 1)}, Options{Range: 3}); !errors.Is(err, ErrCoincidentPoints) {
+		t.Errorf("coincident points: got %v, want ErrCoincidentPoints", err)
+	}
 }
 
 func TestRouterFacade(t *testing.T) {
