@@ -7,14 +7,17 @@ package toporouting
 // bench sweep (or CI) should pay.
 //
 // Run:  go test -tags bigbench -run '^$' -bench BuildThetaBig -benchtime 1x
+//       go test -tags bigbench -run '^$' -bench BuildNetworkDefaultRangeBig -benchtime 3x
 
 import (
 	"context"
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"toporouting/internal/topology"
+	"toporouting/internal/unitdisk"
 )
 
 // BenchmarkBuildThetaBig builds the n=10⁶ topology across GOMAXPROCS
@@ -39,4 +42,24 @@ func BenchmarkBuildThetaBig(b *testing.B) {
 			b.ReportMetric(float64(top.N.NumEdges()), "edges")
 		}
 	}
+}
+
+// BenchmarkBuildNetworkDefaultRangeBig times the facade build of an
+// n=10⁵ network with no range given, so the default range (1.3 × the
+// critical range, an EMST over the points) is part of every iteration; the
+// rangeMs metric is that step alone.
+func BenchmarkBuildNetworkDefaultRangeBig(b *testing.B) {
+	const n = 100000
+	pts := benchPoints(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildNetwork(pts, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	start := time.Now()
+	unitdisk.DefaultRange(pts)
+	b.ReportMetric(float64(time.Since(start))/float64(time.Millisecond), "rangeMs")
 }

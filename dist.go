@@ -53,7 +53,7 @@ func BuildNetworkDistributedAsyncContext(ctx context.Context, points []Point, op
 	if len(points) < 2 {
 		return nil, DistReport{}, errors.New("toporouting: need at least two points")
 	}
-	o, err := opts.withDefaults(points)
+	o, err := opts.withDefaults(ctx, points)
 	if err != nil {
 		return nil, DistReport{}, err
 	}

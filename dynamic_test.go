@@ -147,4 +147,13 @@ func TestSimulateChurnOptions(t *testing.T) {
 	}); err == nil {
 		t.Error("churn+honeycomb must be rejected")
 	}
+	dup := append(append([]Point(nil), pts...), pts[7])
+	if _, err := Simulate(SimulationOptions{
+		Points: dup, Router: RouterOptions{BufferSize: 10}, Steps: 10, ChurnEvery: 5,
+	}); !errors.Is(err, ErrCoincidentPoints) {
+		t.Errorf("churn over coincident points: got %v, want ErrCoincidentPoints", err)
+	}
+	if _, _, err := BuildNetworkDistributedAsync(dup, Options{}, FaultPlan{}, 1); !errors.Is(err, ErrCoincidentPoints) {
+		t.Errorf("async distributed build over coincident points: got %v, want ErrCoincidentPoints", err)
+	}
 }

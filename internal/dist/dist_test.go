@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -229,12 +230,9 @@ func TestHelloRepeatsScaleWithDrop(t *testing.T) {
 	}
 }
 
-func TestDuplicatePositionsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate positions")
-		}
-	}()
+func TestDuplicatePositionsError(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.5), geom.Pt(0.1, 0.1)}
-	Build(pts, Config{Range: 1})
+	if _, err := Build(pts, Config{Range: 1}); !errors.Is(err, topology.ErrCoincidentPoints) {
+		t.Fatalf("duplicate positions: err = %v, want ErrCoincidentPoints", err)
+	}
 }

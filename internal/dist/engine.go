@@ -198,9 +198,10 @@ func (e *engine) fold(ev *event) {
 }
 
 // Build runs the message-passing protocol over pts to quiescence and
-// returns the assembled topology with run statistics. It panics on invalid
-// geometry (mirroring topology.BuildTheta) and returns an error only for
-// an invalid fault plan.
+// returns the assembled topology with run statistics. It returns an error
+// wrapping topology.ErrCoincidentPoints when two points share a position,
+// and an error for an invalid fault plan; it panics on a non-positive
+// range.
 func Build(pts []geom.Point, cfg Config) (*Outcome, error) {
 	return BuildContext(context.Background(), pts, cfg)
 }
@@ -222,7 +223,9 @@ func BuildContext(ctx context.Context, pts []geom.Point, cfg Config) (*Outcome, 
 	if cfg.Faults.Crashes > n {
 		return nil, fmt.Errorf("dist: %d crashes for %d nodes", cfg.Faults.Crashes, n)
 	}
-	topology.CheckDistinct(pts)
+	if err := topology.CheckDistinct(pts); err != nil {
+		return nil, err
+	}
 	tel := cfg.Telemetry
 	stopBuild := tel.StartPhase("dist.build")
 	_, span := telemetry.StartChild(ctx, "dist.build")

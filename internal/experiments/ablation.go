@@ -43,7 +43,7 @@ func E16Resilience(sc Scale) *Table {
 		gstarOK := 0
 		for s := 0; s < sc.Seeds; s++ {
 			pts := pointset.Generate(pointset.KindUniform, n, int64(s))
-			dRange := unitdisk.CriticalRange(pts) * 1.3
+			dRange := unitdisk.DefaultRange(pts)
 			top := topology.BuildTheta(pts, topology.Config{Theta: math.Pi / 6, Range: dRange})
 			gstar := unitdisk.Build(pts, dRange)
 			graphs := map[string]*graph.Graph{

@@ -28,7 +28,7 @@ func E20DistConvergence(sc Scale) *Table {
 			for seed := 0; seed < sc.Seeds; seed++ {
 				pts := pointset.Generate(pointset.KindUniform, n, int64(seed+1))
 				out, err := dist.Build(pts, dist.Config{
-					Range:     unitdisk.CriticalRange(pts) * 1.3,
+					Range:     unitdisk.DefaultRange(pts),
 					Seed:      int64(seed + 1),
 					Faults:    dist.Faults{Drop: p},
 					Telemetry: sc.Telemetry,

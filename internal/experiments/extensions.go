@@ -92,7 +92,7 @@ func E14GeoRouting(sc Scale) *Table {
 		var overheads []float64
 		for s := 0; s < sc.Seeds; s++ {
 			pts := pointset.Generate(pointset.KindUniform, n, int64(s))
-			dRange := unitdisk.CriticalRange(pts) * 1.3
+			dRange := unitdisk.DefaultRange(pts)
 			gab := proximity.Gabriel(pts, dRange)
 			if !gab.Connected() {
 				continue

@@ -33,7 +33,7 @@ func E8MACCollision(sc Scale) *Table {
 			iMax := 0
 			for s := 0; s < sc.Seeds; s++ {
 				pts := pointset.Generate(pointset.KindUniform, n, int64(s))
-				dRange := unitdisk.CriticalRange(pts) * 1.3
+				dRange := unitdisk.DefaultRange(pts)
 				top := topology.BuildTheta(pts, topology.Config{Theta: math.Pi / 6, Range: dRange})
 				model := interference.NewModel(delta)
 				m := mac.NewRandomMAC(pts, top.N.Edges(), model, nil, rand.New(rand.NewSource(int64(s))))

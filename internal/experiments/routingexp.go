@@ -43,7 +43,7 @@ func E7BalancingCompetitive(sc Scale) *Table {
 	}
 	// Multi-commodity on a ΘALG topology with sink-concentrated load.
 	pts := pointset.Generate(pointset.KindUniform, 50, 7)
-	dR := unitdisk.CriticalRange(pts) * 1.3
+	dR := unitdisk.DefaultRange(pts)
 	top := topology.BuildTheta(pts, topology.Config{Theta: math.Pi / 6, Range: dR})
 	sinks := []int{3, 17, 42}
 	for _, buf := range []int{10, 30, 100, 200} {

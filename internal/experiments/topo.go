@@ -19,7 +19,7 @@ import (
 // experiment cell.
 func buildInstance(kind pointset.Kind, n int, seed int64, theta float64) (*topology.Topology, pointset.Set, float64) {
 	pts := pointset.Generate(kind, n, seed)
-	d := unitdisk.CriticalRange(pts) * 1.3
+	d := unitdisk.DefaultRange(pts)
 	top := topology.BuildTheta(pts, topology.Config{Theta: theta, Range: d})
 	return top, pts, d
 }
@@ -163,7 +163,7 @@ func civilizedCell(sc Scale, n int, sepMult float64) civRow {
 		minDist := 0.55 / math.Sqrt(float64(n)) * sepMult
 		rng := rand.New(rand.NewSource(int64(s)))
 		pts := pointset.PoissonDisk(n, 1, minDist, rng)
-		dRange := unitdisk.CriticalRange(pts) * 1.3
+		dRange := unitdisk.DefaultRange(pts)
 		top := topology.BuildTheta(pts, topology.Config{Theta: math.Pi / 9, Range: dRange})
 		gstar := unitdisk.Build(pts, dRange)
 		r := stretch.Evaluate(top.N, gstar, pts, stretch.Distance,

@@ -12,6 +12,7 @@ import (
 	"toporouting/internal/geom"
 	"toporouting/internal/graph"
 	"toporouting/internal/spatial"
+	"toporouting/internal/unitdisk"
 )
 
 // Gabriel builds the Gabriel graph on pts, restricted to edges of length at
@@ -111,43 +112,12 @@ func anyPointInLune(idx *spatial.Grid, pts []geom.Point, u, v int, d float64) bo
 	return found
 }
 
-// EMST builds the Euclidean minimum spanning tree on pts (dense Prim,
-// O(n²)). The well-known hierarchy EMST ⊆ RNG ⊆ Gabriel ⊆ Delaunay is
-// asserted by this package's tests.
+// EMST builds the Euclidean minimum spanning tree on pts with
+// unitdisk.SpanningTree (Kruskal over 2-d tree candidate pairs, about
+// O(n log n) on spread-out sets). The well-known hierarchy
+// EMST ⊆ RNG ⊆ Gabriel ⊆ Delaunay is asserted by this package's tests.
 func EMST(pts []geom.Point) *graph.Graph {
-	n := len(pts)
-	g := graph.New(n)
-	if n < 2 {
-		return g
-	}
-	inTree := make([]bool, n)
-	best := make([]float64, n)
-	from := make([]int32, n)
-	for i := range best {
-		best[i] = math.Inf(1)
-		from[i] = 0
-	}
-	inTree[0] = true
-	for j := 1; j < n; j++ {
-		best[j] = geom.Dist2(pts[0], pts[j])
-	}
-	for it := 1; it < n; it++ {
-		pick, pickD := -1, math.Inf(1)
-		for j := 0; j < n; j++ {
-			if !inTree[j] && best[j] < pickD {
-				pick, pickD = j, best[j]
-			}
-		}
-		inTree[pick] = true
-		g.AddEdge(pick, int(from[pick]))
-		for j := 0; j < n; j++ {
-			if !inTree[j] {
-				if d2 := geom.Dist2(pts[pick], pts[j]); d2 < best[j] {
-					best[j] = d2
-					from[j] = int32(pick)
-				}
-			}
-		}
-	}
+	g := graph.New(len(pts))
+	unitdisk.SpanningTree(pts, func(u, v int, _ float64) { g.AddEdge(u, v) })
 	return g
 }

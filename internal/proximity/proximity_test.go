@@ -285,3 +285,81 @@ func TestGlobalPrunePanicsOnBadFactor(t *testing.T) {
 	}()
 	GlobalPrune(graph.New(2), nil, 1.0, nil)
 }
+
+// primEMST is the dense O(n²) Prim reference for EMST.
+func primEMST(pts []geom.Point) *graph.Graph {
+	n := len(pts)
+	g := graph.New(n)
+	if n < 2 {
+		return g
+	}
+	inTree := make([]bool, n)
+	best := make([]float64, n)
+	from := make([]int, n)
+	inTree[0] = true
+	for j := 1; j < n; j++ {
+		best[j] = geom.Dist2(pts[0], pts[j])
+	}
+	for it := 1; it < n; it++ {
+		pick, pickD := -1, math.Inf(1)
+		for j := 0; j < n; j++ {
+			if !inTree[j] && best[j] < pickD {
+				pick, pickD = j, best[j]
+			}
+		}
+		inTree[pick] = true
+		g.AddEdge(pick, from[pick])
+		for j := 0; j < n; j++ {
+			if !inTree[j] {
+				if d2 := geom.Dist2(pts[pick], pts[j]); d2 < best[j] {
+					best[j], from[j] = d2, pick
+				}
+			}
+		}
+	}
+	return g
+}
+
+func treeWeight(pts []geom.Point, g *graph.Graph) float64 {
+	w := 0.0
+	for _, e := range g.Edges() {
+		w += geom.Dist(pts[e.U], pts[e.V])
+	}
+	return w
+}
+
+// TestEMSTMatchesPrim: EMST has the reference's edge count and total
+// weight on every generator, several seeds and sizes, and on coincident
+// and collinear sets.
+func TestEMSTMatchesPrim(t *testing.T) {
+	sizes := []int{50, 500, 2000}
+	if testing.Short() {
+		sizes = []int{50, 500}
+	}
+	check := func(name string, pts []geom.Point) {
+		t.Helper()
+		got, want := EMST(pts), primEMST(pts)
+		if got.NumEdges() != want.NumEdges() || !got.Connected() {
+			t.Fatalf("%s (n=%d): %d edges (connected %v), reference %d", name, len(pts), got.NumEdges(), got.Connected(), want.NumEdges())
+		}
+		gw, ww := treeWeight(pts, got), treeWeight(pts, want)
+		if math.Abs(gw-ww) > 1e-9*math.Max(1, ww) {
+			t.Fatalf("%s (n=%d): weight %v, reference %v", name, len(pts), gw, ww)
+		}
+	}
+	for k := pointset.KindUniform; k <= pointset.KindBridge; k++ {
+		for _, n := range sizes {
+			for seed := int64(1); seed <= 3; seed++ {
+				check(k.String(), pointset.Generate(k, n, seed))
+			}
+		}
+	}
+	twins := pointset.Generate(pointset.KindUniform, 300, 9)
+	twins = append(twins, twins[:150]...)
+	check("coincident", twins)
+	line := make([]geom.Point, 300)
+	for i := range line {
+		line[i] = geom.Pt(float64(i%17)*0.5, 0)
+	}
+	check("collinear", line)
+}

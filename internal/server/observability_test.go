@@ -153,18 +153,76 @@ func TestTracesEndpoint(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"admission.wait", "job.run", "topology.build", "topology.phase1", "topology.phase2", "encode"} {
+	for _, want := range []string{"admission.wait", "job.run", "unitdisk.critical_range", "topology.build", "topology.phase1", "topology.phase2", "encode"} {
 		if _, ok := names[want]; !ok {
 			t.Fatalf("span %q missing from trace: %+v", want, found.Spans)
 		}
 	}
-	// Build phases nest under the build, which nests under the run.
+	// Build phases nest under the build; the build and the default-range
+	// choice nest under the run.
 	if names["topology.phase1"].Parent != names["topology.build"].Span {
 		t.Fatal("phase1 is not a child of topology.build")
 	}
-	if names["topology.build"].Parent != names["job.run"].Span {
-		t.Fatal("topology.build is not a child of job.run")
+	for _, child := range []string{"topology.build", "unitdisk.critical_range"} {
+		if names[child].Parent != names["job.run"].Span {
+			t.Fatalf("%s is not a child of job.run", child)
+		}
 	}
+
+	// A request with an explicit range skips the range choice.
+	resp, body = postJSON(t, ts.URL+"/v1/topology", map[string]any{"dist": "uniform", "n": 40, "range": 0.5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("topology with range: %d %s", resp.StatusCode, body)
+	}
+	if names := traceSpans(t, ts.URL, resp.Header.Get("X-Trace-ID")); names["unitdisk.critical_range"].Span != 0 {
+		t.Fatal("explicit range still traced a critical_range span")
+	}
+}
+
+// TestSessionCreateTracesRangeChoice: a session created without a range
+// traces the range choice as its own span under the job run.
+func TestSessionCreateTracesRangeChoice(t *testing.T) {
+	tel := toporouting.NewTelemetry()
+	tracer := toporouting.NewTracer(tel, toporouting.NewTraceRing(8, 8))
+	_, ts := newTestServer(t, Config{Telemetry: tel, Tracer: tracer})
+	resp, body := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"dist": "uniform", "n": 40})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("session create: %d %s", resp.StatusCode, body)
+	}
+	names := traceSpans(t, ts.URL, resp.Header.Get("X-Trace-ID"))
+	rng, run := names["unitdisk.critical_range"], names["job.run"]
+	if rng.Span == 0 || run.Span == 0 || rng.Parent != run.Span {
+		t.Fatalf("critical_range span %+v is not a child of job.run %+v", rng, run)
+	}
+}
+
+// traceSpans fetches /debug/traces and returns the spans of trace id by
+// name.
+func traceSpans(t *testing.T, base, id string) map[string]telemetry.SpanRecord {
+	t.Helper()
+	if id == "" {
+		t.Fatal("missing X-Trace-ID")
+	}
+	r, err := http.Get(base + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var tr tracesResponse
+	if err := json.NewDecoder(r.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tr.Traces {
+		if c.ID == id {
+			names := map[string]telemetry.SpanRecord{}
+			for _, sp := range c.Spans {
+				names[sp.Name] = sp
+			}
+			return names
+		}
+	}
+	t.Fatalf("trace %s not retained", id)
+	return nil
 }
 
 // TestMetricsFormats asserts /metrics speaks Prometheus text by default —

@@ -210,8 +210,10 @@ func TestCoincidentPoints400(t *testing.T) {
 		body map[string]any
 	}{
 		{"/v1/topology", map[string]any{"points": dup}},
+		{"/v1/topology", map[string]any{"points": dup, "mode": "distributed"}},
 		{"/v1/interference", map[string]any{"points": dup, "workers": 2}},
 		{"/v1/sessions", map[string]any{"points": dup}},
+		{"/v1/simulate", map[string]any{"points": dup, "steps": 4, "churn_every": 2}},
 	} {
 		resp, body := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -161,7 +161,9 @@ func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, 
 	}
 	dRange := spec.Range
 	if dRange == 0 {
-		dRange = unitdisk.CriticalRange(pts) * 1.3
+		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
+		dRange = unitdisk.DefaultRange(pts)
+		span.End()
 	}
 	if dRange <= 0 {
 		return nil, fmt.Errorf("session: range %v must be positive", dRange)

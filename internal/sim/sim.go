@@ -9,6 +9,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -226,7 +227,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		cfg.Delta = interference.DefaultDelta
 	}
 	if cfg.RangeSlack == 0 {
-		cfg.RangeSlack = 1.3
+		cfg.RangeSlack = unitdisk.DefaultSlack
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pts := append(pointset.Set(nil), cfg.Points...)
@@ -304,7 +305,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				d = unitdisk.CriticalRange(pts) * cfg.RangeSlack
 			}
 			if churn {
-				dyn = topology.NewDynamic(pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel})
+				top, err := topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)
+				if err != nil {
+					return err
+				}
+				dyn = topology.NewDynamicFrom(top)
 				install(dyn.Points(), dyn.Topology())
 				return nil
 			}
@@ -322,6 +327,9 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				if err != nil {
 					if ctx.Err() != nil {
 						return ctx.Err()
+					}
+					if errors.Is(err, topology.ErrCoincidentPoints) {
+						return err
 					}
 					panic(fmt.Sprintf("sim: invalid fault plan: %v", err))
 				}

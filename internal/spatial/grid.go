@@ -39,9 +39,14 @@ func NewGrid(pts []geom.Point, cellSize float64) *Grid {
 }
 
 // Fill (re)indexes pts with the given cell size, reusing the grid's
-// backing arrays. A non-positive cellSize is replaced by a heuristic
-// (bounding-box area / n, clamped). The grid keeps a reference to pts;
-// callers must not mutate the slice while the grid is in use.
+// backing arrays. A non-positive cellSize is replaced by a heuristic: the
+// side of a square holding one point on average (bounding-box area / n),
+// or extent / n for collinear points. Either way the cell is then grown,
+// if needed, until the grid has at most maxCellsPerPoint·n + minCells
+// cells, so memory follows n rather than the points' extent; queries
+// filter by exact distance, so a larger cell never changes their answers.
+// The grid keeps a reference to pts; callers must not mutate the slice
+// while the grid is in use.
 func (g *Grid) Fill(pts []geom.Point, cellSize float64) {
 	g.pts = pts
 	if len(pts) == 0 {
@@ -64,22 +69,8 @@ func (g *Grid) Fill(pts []geom.Point, cellSize float64) {
 			max.Y = p.Y
 		}
 	}
-	w, h := max.X-min.X, max.Y-min.Y
-	if cellSize <= 0 {
-		area := w * h
-		if area <= 0 {
-			cellSize = 1
-		} else {
-			cellSize = math.Sqrt(area / float64(len(pts)))
-		}
-		if cellSize <= 0 {
-			cellSize = 1
-		}
-	}
-	g.cell = cellSize
 	g.min = min
-	g.cols = int(w/cellSize) + 1
-	g.rows = int(h/cellSize) + 1
+	g.cell, g.cols, g.rows = cellsFor(max.X-min.X, max.Y-min.Y, len(pts), cellSize)
 
 	cells := g.cols * g.rows
 	g.start = growInt32(g.start, cells+1)
@@ -100,6 +91,38 @@ func (g *Grid) Fill(pts []geom.Point, cellSize float64) {
 		g.idx[counts[c]] = int32(i)
 		counts[c]++
 	}
+}
+
+// Cell-count bound of Fill: a grid over n points has at most
+// maxCellsPerPoint·n + minCells cells.
+const (
+	maxCellsPerPoint = 4
+	minCells         = 64
+)
+
+// cellsFor returns the cell size and the column and row counts of a grid
+// over a w × h bounding box holding n points, starting from the requested
+// cell size (heuristic when non-positive) and doubling it until the cell
+// count fits the bound. A box whose extent overflows float64 gets one
+// infinite cell.
+func cellsFor(w, h float64, n int, cell float64) (float64, int, int) {
+	if math.IsInf(w, 0) || math.IsInf(h, 0) {
+		return math.Inf(1), 1, 1
+	}
+	if !(cell > 0) {
+		cell = math.Sqrt(w * h / float64(n))
+		if !(cell > 0) { // collinear, or the area underflows
+			cell = math.Max(w, h) / float64(n)
+		}
+		if !(cell > 0) { // coincident
+			cell = 1
+		}
+	}
+	limit := float64(maxCellsPerPoint*n + minCells)
+	for (math.Floor(w/cell)+1)*(math.Floor(h/cell)+1) > limit {
+		cell *= 2
+	}
+	return cell, int(w/cell) + 1, int(h/cell) + 1
 }
 
 // growInt32 returns a slice of exactly length n, reusing s's backing array

@@ -364,3 +364,48 @@ func TestSoAGridEdgeCases(t *testing.T) {
 	checkFill(t, &g, "single", []geom.Point{geom.Pt(-7, 2)}, 0,
 		[]geom.Point{geom.Pt(-7, 2.5), geom.Pt(100, 100)}, 1, true)
 }
+
+// TestFillBoundsCellCount: the cell count follows n, not the points'
+// extent or the requested cell size, and queries still match the
+// exact-distance scan.
+func TestFillBoundsCellCount(t *testing.T) {
+	chain := make([]geom.Point, 500)
+	x := 0.0
+	for i := range chain {
+		chain[i] = geom.Pt(x, 0)
+		x += 1e-3 * math.Pow(1.15, float64(i))
+	}
+	rng := rand.New(rand.NewSource(11))
+	wide := randomPoints(200, 1, 12)
+	wide = append(wide, geom.Pt(1e12, -1e12), geom.Pt(-1e12, 3e11))
+	for _, c := range []struct {
+		name string
+		pts  []geom.Point
+		cell float64
+	}{
+		{"spread-range-1", []geom.Point{geom.Pt(0, 0), geom.Pt(3000, 0), geom.Pt(0, 3000)}, 1},
+		{"extent-1e12", wide, 0.05},
+		{"expchain-heuristic", chain, 0},
+		{"tiny-cell", randomPoints(300, 10, 13), 1e-300},
+		{"overflowing-extent", []geom.Point{geom.Pt(-1e308, 0), geom.Pt(1e308, 1), geom.Pt(0, -1e308), geom.Pt(0, 1e308)}, 1},
+	} {
+		var g Grid
+		g.Fill(c.pts, c.cell)
+		if cells, limit := g.cols*g.rows, maxCellsPerPoint*len(c.pts)+minCells; cells > limit {
+			t.Fatalf("%s: %d cells, limit %d", c.name, cells, limit)
+		}
+		var query []geom.Point
+		for i := 0; i < 20; i++ {
+			query = append(query, c.pts[rng.Intn(len(c.pts))])
+		}
+		for _, r := range []float64{0, c.cell, 1, 1e3, 1e13} {
+			checkFill(t, &g, c.name, c.pts, c.cell, query, r, false)
+		}
+		for _, q := range query {
+			j, _ := g.Nearest(q, nil)
+			if j < 0 || geom.Dist2(q, c.pts[j]) != 0 {
+				t.Fatalf("%s: Nearest(%v) = %d", c.name, q, j)
+			}
+		}
+	}
+}

@@ -7,14 +7,12 @@ import (
 )
 
 // CheckDistinct enforces the paper's standing assumption of distinct node
-// positions, panicking with an error wrapping ErrCoincidentPoints
-// (exported for alternative builders such as the message-passing engine in
-// internal/dist, which must reject degenerate inputs before running the
-// protocol).
-func CheckDistinct(pts []geom.Point) {
-	if err := checkDistinct(pts); err != nil {
-		panic(err)
-	}
+// positions, returning an error wrapping ErrCoincidentPoints that names the
+// first coincident pair (exported for alternative builders such as the
+// message-passing engine in internal/dist, which must reject degenerate
+// inputs before running the protocol).
+func CheckDistinct(pts []geom.Point) error {
+	return checkDistinct(pts)
 }
 
 // AssembleTables constructs a Topology from externally computed per-sector

@@ -1,9 +1,12 @@
 // Package unitdisk builds the transmission graph G* of Section 2 of the
 // paper: nodes can communicate directly iff their Euclidean distance is at
 // most the maximum transmission range D. It also computes the critical
-// range (the smallest D for which G* is connected), which experiments use to
-// pick a D that satisfies the paper's standing assumption that G* is
-// connected.
+// range (the smallest D for which G* is connected, the longest edge of the
+// Euclidean minimum spanning tree), which the daemon and the experiments
+// use to pick a D that satisfies the paper's standing assumption that G*
+// is connected. The spanning tree is a Kruskal over 2-d tree candidate
+// pairs (SpanningTree): about 3 ms at n=2000 and 0.25 s at n=10⁵ on a
+// 2-vCPU host, cheap enough for the per-request path.
 package unitdisk
 
 import (
@@ -35,51 +38,31 @@ func Build(pts []geom.Point, d float64) *graph.Graph {
 
 // CriticalRange returns the smallest maximum transmission range D for which
 // the transmission graph over pts is connected. This equals the longest edge
-// of the Euclidean minimum spanning tree. It returns 0 for fewer than two
-// points. O(n²) (dense Prim), intended for experiment setup, not hot paths.
+// of the Euclidean minimum spanning tree (SpanningTree), and costs what that
+// does. It returns 0 for fewer than two points, and +Inf when the tree
+// needs an edge whose squared length overflows.
 func CriticalRange(pts []geom.Point) float64 {
-	n := len(pts)
-	if n < 2 {
+	if len(pts) < 2 {
 		return 0
-	}
-	const unvisited = -1
-	inTree := make([]bool, n)
-	best := make([]float64, n) // squared distance to the tree
-	for i := range best {
-		best[i] = math.Inf(1)
-	}
-	inTree[0] = true
-	for j := 1; j < n; j++ {
-		best[j] = geom.Dist2(pts[0], pts[j])
-	}
-	longest2 := 0.0
-	for it := 1; it < n; it++ {
-		pick := unvisited
-		pickD := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if !inTree[j] && best[j] < pickD {
-				pick, pickD = j, best[j]
-			}
-		}
-		inTree[pick] = true
-		if pickD > longest2 {
-			longest2 = pickD
-		}
-		for j := 0; j < n; j++ {
-			if !inTree[j] {
-				if d2 := geom.Dist2(pts[pick], pts[j]); d2 < best[j] {
-					best[j] = d2
-				}
-			}
-		}
 	}
 	// Nudge up by a few ulps so that Build(pts, CriticalRange(pts)) always
 	// includes the critical MST edge despite sqrt/square rounding.
-	d := math.Sqrt(longest2)
+	d := math.Sqrt(SpanningTree(pts, nil))
 	for i := 0; i < 4; i++ {
 		d = math.Nextafter(d, math.Inf(1))
 	}
 	return d
+}
+
+// DefaultSlack is the factor by which DefaultRange exceeds the critical
+// range, so that G* has some headroom above a bare spanning tree.
+const DefaultSlack = 1.3
+
+// DefaultRange returns the range D used when a caller gives none:
+// DefaultSlack × CriticalRange(pts), which satisfies the paper's standing
+// assumption that G* is connected.
+func DefaultRange(pts []geom.Point) float64 {
+	return CriticalRange(pts) * DefaultSlack
 }
 
 // ConnectedBuild builds a connected transmission graph by using

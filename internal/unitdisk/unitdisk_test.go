@@ -3,6 +3,7 @@ package unitdisk
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"toporouting/internal/geom"
@@ -103,4 +104,225 @@ func TestExponentialChainConnectivity(t *testing.T) {
 	if !Build(pts, d).Connected() {
 		t.Error("chain should connect at critical range")
 	}
+}
+
+// primLongest2 is the dense O(n²) Prim reference for SpanningTree: the
+// squared length of the longest edge of a minimum spanning tree.
+func primLongest2(pts []geom.Point) float64 {
+	n := len(pts)
+	if n < 2 {
+		return 0
+	}
+	inTree := make([]bool, n)
+	best := make([]float64, n) // squared distance to the tree
+	inTree[0] = true
+	for j := 1; j < n; j++ {
+		best[j] = geom.Dist2(pts[0], pts[j])
+	}
+	longest2 := 0.0
+	for it := 1; it < n; it++ {
+		pick, pickD := -1, math.Inf(1)
+		for j := 0; j < n; j++ {
+			if !inTree[j] && best[j] < pickD {
+				pick, pickD = j, best[j]
+			}
+		}
+		inTree[pick] = true
+		longest2 = math.Max(longest2, pickD)
+		for j := 0; j < n; j++ {
+			if !inTree[j] {
+				if d2 := geom.Dist2(pts[pick], pts[j]); d2 < best[j] {
+					best[j] = d2
+				}
+			}
+		}
+	}
+	return longest2
+}
+
+// primCriticalRange is CriticalRange computed from the dense Prim.
+func primCriticalRange(pts []geom.Point) float64 {
+	if len(pts) < 2 {
+		return 0
+	}
+	d := math.Sqrt(primLongest2(pts))
+	for i := 0; i < 4; i++ {
+		d = math.Nextafter(d, math.Inf(1))
+	}
+	return d
+}
+
+// checkSpanningTree asserts that SpanningTree's longest edge, and so
+// CriticalRange, is bit-identical to the dense Prim's, and that its edges
+// form a spanning tree reported in ascending order with exact squared
+// lengths.
+func checkSpanningTree(t *testing.T, name string, pts []geom.Point) {
+	t.Helper()
+	n := len(pts)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	edges, last := 0, 0.0
+	got := SpanningTree(pts, func(u, v int, d2 float64) {
+		if u >= v || d2 != geom.Dist2(pts[u], pts[v]) || d2 < last {
+			t.Fatalf("%s: bad edge (%d,%d) d²=%v after %v", name, u, v, d2, last)
+		}
+		ru, rv := find(u), find(v)
+		if ru == rv {
+			t.Fatalf("%s: edge (%d,%d) closes a cycle", name, u, v)
+		}
+		parent[ru] = rv
+		edges++
+		last = d2
+	})
+	if want := primLongest2(pts); got != want {
+		t.Fatalf("%s (n=%d): longest² %v, dense Prim %v", name, n, got, want)
+	}
+	if got, want := CriticalRange(pts), primCriticalRange(pts); got != want {
+		t.Fatalf("%s (n=%d): CriticalRange %v, dense Prim %v", name, n, got, want)
+	}
+	if n >= 2 && edges != n-1 {
+		t.Fatalf("%s: %d tree edges, want %d", name, edges, n-1)
+	}
+}
+
+func TestSpanningTreeMatchesPrim(t *testing.T) {
+	sizes := []int{50, 500, 2000}
+	seeds := 3
+	if testing.Short() {
+		sizes, seeds = []int{50, 500}, 2
+	}
+	for k := pointset.KindUniform; k <= pointset.KindBridge; k++ {
+		for _, n := range sizes {
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				checkSpanningTree(t, k.String(), pointset.Generate(k, n, seed))
+			}
+		}
+	}
+}
+
+func TestSpanningTreeDegenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	same := make([]geom.Point, 300)
+	for i := range same {
+		same[i] = geom.Pt(2, -3)
+	}
+	twins := pointset.Uniform(200, 1, rng)
+	twins = append(twins, twins...)
+	line := make([]geom.Point, 400)
+	for i := range line {
+		line[i] = geom.Pt(rng.Float64()*1e6, 0)
+	}
+	lattice := pointset.GridJitter(20, 20, 0, nil)
+	cluster := pointset.Uniform(300, 1, rng)
+	cluster = append(cluster, geom.Pt(1e9, -1e9))
+	sets := map[string][]geom.Point{
+		"identical":     same,
+		"twins":         twins,
+		"collinear":     line,
+		"lattice":       lattice,
+		"outlier":       cluster,
+		"two":           {geom.Pt(0, 0), geom.Pt(3, 4)},
+		"pair-coincide": {geom.Pt(1, 1), geom.Pt(1, 1)},
+		"subnormal":     {geom.Pt(0, 0), geom.Pt(1e-170, 0), geom.Pt(2e-170, 0), geom.Pt(1, 0)},
+		"far-apart":     {geom.Pt(0, 0), geom.Pt(3000, 0), geom.Pt(0, 3000)},
+		"extent-1e12":   {geom.Pt(-1e12, 0), geom.Pt(0, 1), geom.Pt(1e12, 2), geom.Pt(1e12, 2.5)},
+	}
+	for name, pts := range sets {
+		checkSpanningTree(t, name, pts)
+	}
+	if got := CriticalRange(same); got <= 0 || got > 1e-300 {
+		t.Errorf("identical points: CriticalRange = %v, want a few ulps above 0", got)
+	}
+}
+
+// TestSpanningTreeOverflow: squared lengths past float64 range read as
+// +Inf; the tree still completes and reports +Inf.
+func TestSpanningTreeOverflow(t *testing.T) {
+	pts := []geom.Point{geom.Pt(-1e300, 0), geom.Pt(-1e300, 1), geom.Pt(1e300, 0), geom.Pt(1e300, 1)}
+	edges := 0
+	got := SpanningTree(pts, func(int, int, float64) { edges++ })
+	if !math.IsInf(got, 1) || edges != 3 {
+		t.Fatalf("overflowing set: longest² %v over %d edges, want +Inf over 3", got, edges)
+	}
+	if d := CriticalRange(pts); !math.IsInf(d, 1) {
+		t.Fatalf("CriticalRange = %v, want +Inf", d)
+	}
+}
+
+func TestDefaultRange(t *testing.T) {
+	pts := pointset.Uniform(100, 1, rand.New(rand.NewSource(5)))
+	if got, want := DefaultRange(pts), CriticalRange(pts)*1.3; got != want {
+		t.Fatalf("DefaultRange = %v, want %v", got, want)
+	}
+}
+
+// FuzzCriticalRange checks CriticalRange against the dense Prim on fuzzed
+// sets. The bytes pick coordinates on a coarse lattice, so coincident
+// points are common; an x byte with low bits 00 puts the point on the
+// x-axis, so collinear runs are common; a y byte with low bits 111
+// throws the point 10¹² times farther out. The whole set is scaled by a
+// fuzzed extent between 1e-150 and 1e130, which keeps squared distances
+// finite.
+func FuzzCriticalRange(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9}, uint8(40))
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 250}, uint8(200))
+	f.Add([]byte{255, 0, 0, 255, 128, 128, 1, 1}, uint8(255))
+	f.Add([]byte{1, 7, 2, 1, 3, 2, 5, 15, 9, 9}, uint8(128))
+	f.Fuzz(func(t *testing.T, data []byte, scale uint8) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		extent := math.Pow(10, float64(scale)*280/255-150)
+		pts := make([]geom.Point, len(data)/2)
+		for i := range pts {
+			bx, by := data[2*i], data[2*i+1]
+			x, y := float64(bx), float64(by)
+			if bx&3 == 0 {
+				y = 0
+			}
+			p := geom.Pt(x*extent, y*extent)
+			if by&7 == 7 {
+				p = p.Scale(1e12)
+			}
+			pts[i] = p
+		}
+		if got, want := CriticalRange(pts), primCriticalRange(pts); got != want {
+			t.Fatalf("CriticalRange = %v, dense Prim %v (n=%d, extent %g)", got, want, len(pts), extent)
+		}
+	})
+}
+
+// TestSpanningTreeConcurrent: concurrent runs share the scratch pool but
+// no state; each matches its sequential result.
+func TestSpanningTreeConcurrent(t *testing.T) {
+	sets := make([][]geom.Point, 8)
+	want := make([]float64, len(sets))
+	for i := range sets {
+		sets[i] = pointset.Generate(pointset.Kind(i%7), 300+50*i, int64(i))
+		want[i] = SpanningTree(sets[i], nil)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i, pts := range sets {
+					if got := SpanningTree(pts, nil); got != want[i] {
+						t.Errorf("set %d: concurrent longest² %v, sequential %v", i, got, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -37,6 +37,7 @@ import (
 	"toporouting/internal/interference"
 	"toporouting/internal/pointset"
 	"toporouting/internal/stretch"
+	"toporouting/internal/telemetry"
 	"toporouting/internal/topology"
 	"toporouting/internal/unitdisk"
 )
@@ -65,7 +66,7 @@ type Options struct {
 	Telemetry *Telemetry
 }
 
-func (o Options) withDefaults(pts []Point) (Options, error) {
+func (o Options) withDefaults(ctx context.Context, pts []Point) (Options, error) {
 	if o.Theta == 0 {
 		o.Theta = topology.DefaultTheta
 	}
@@ -85,7 +86,11 @@ func (o Options) withDefaults(pts []Point) (Options, error) {
 		return o, fmt.Errorf("toporouting: delta %v must be positive", o.Delta)
 	}
 	if o.Range == 0 {
-		o.Range = unitdisk.CriticalRange(pts) * 1.3
+		// The default range costs a spanning tree over pts; its own span
+		// keeps that out of the caller's self time in traces.
+		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
+		o.Range = unitdisk.DefaultRange(pts)
+		span.End()
 	}
 	if o.Range <= 0 {
 		return o, fmt.Errorf("toporouting: range %v must be positive", o.Range)
@@ -162,7 +167,7 @@ func BuildNetworkContext(ctx context.Context, points []Point, opts Options, work
 	if len(points) < 2 {
 		return nil, errors.New("toporouting: need at least two points")
 	}
-	o, err := opts.withDefaults(points)
+	o, err := opts.withDefaults(ctx, points)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +226,7 @@ func BuildDynamicNetwork(points []Point, opts Options) (*DynamicNetwork, error) 
 	if len(points) < 2 {
 		return nil, errors.New("toporouting: need at least two points")
 	}
-	o, err := opts.withDefaults(points)
+	o, err := opts.withDefaults(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
