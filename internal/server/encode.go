@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -243,12 +244,16 @@ func encodeJSONValue(st *encodeState, v any) error {
 	return nil
 }
 
-// requestDigest canonicalizes a request for the response cache: the
-// endpoint name and the re-encoded parsed request (so whitespace, field
-// order, and unknown fields never split cache keys), hashed with SHA-256.
+// requestDigest is the response-cache key of a request: SHA-256 over, in
+// order, the endpoint name and a NUL; the canonical JSON of v, the parsed
+// request with its point list nil (so whitespace, key order, key case and
+// unknown keys never split keys); the point count; and the little-endian
+// Float64bits of every coordinate. The JSON ends in a newline and the count
+// fixes the length of what follows, so distinct inputs never run together.
 // The caller zeroes fields that do not affect the response (timeout_ms)
-// before digesting.
-func requestDigest(endpoint string, v any) (topocache.Key, bool) {
+// before digesting. Hashing the points' bits costs a few percent of
+// re-encoding them as JSON.
+func requestDigest(endpoint string, v any, pts [][2]float64) (topocache.Key, bool) {
 	buf := getEncodeBuf()
 	defer putEncodeBuf(buf)
 	buf.WriteString(endpoint)
@@ -256,7 +261,13 @@ func requestDigest(endpoint string, v any) (topocache.Key, bool) {
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		return topocache.Key{}, false
 	}
-	return sha256.Sum256(buf.Bytes()), true
+	buf.Grow(8 + 16*len(pts))
+	b := binary.LittleEndian.AppendUint64(buf.Bytes(), uint64(len(pts)))
+	for _, p := range pts {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p[0]))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p[1]))
+	}
+	return sha256.Sum256(b), true
 }
 
 // inmMatches reports whether an If-None-Match header value matches the

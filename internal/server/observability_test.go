@@ -153,9 +153,16 @@ func TestTracesEndpoint(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"admission.wait", "job.run", "unitdisk.critical_range", "topology.build", "topology.phase1", "topology.phase2", "encode"} {
+	for _, want := range []string{"server.decode", "server.digest", "admission.wait", "job.run", "unitdisk.critical_range", "topology.build", "topology.phase1", "topology.phase2", "encode"} {
 		if _, ok := names[want]; !ok {
 			t.Fatalf("span %q missing from trace: %+v", want, found.Spans)
+		}
+	}
+	// Request ingest (body read and decode) and the cache key are their
+	// own layers, children of the request root.
+	for _, child := range []string{"server.decode", "server.digest"} {
+		if names[child].Parent != names["POST /v1/topology"].Span {
+			t.Fatalf("%s is not a child of the request root", child)
 		}
 	}
 	// Build phases nest under the build; the build and the default-range
@@ -180,7 +187,8 @@ func TestTracesEndpoint(t *testing.T) {
 }
 
 // TestSessionCreateTracesRangeChoice: a session created without a range
-// traces the range choice as its own span under the job run.
+// traces the range choice as its own span under the job run, and the body
+// decode as its own span under the request root.
 func TestSessionCreateTracesRangeChoice(t *testing.T) {
 	tel := toporouting.NewTelemetry()
 	tracer := toporouting.NewTracer(tel, toporouting.NewTraceRing(8, 8))
@@ -193,6 +201,9 @@ func TestSessionCreateTracesRangeChoice(t *testing.T) {
 	rng, run := names["unitdisk.critical_range"], names["job.run"]
 	if rng.Span == 0 || run.Span == 0 || rng.Parent != run.Span {
 		t.Fatalf("critical_range span %+v is not a child of job.run %+v", rng, run)
+	}
+	if dec := names["server.decode"]; dec.Span == 0 || dec.Parent != names["POST /v1/sessions"].Span {
+		t.Fatalf("server.decode span %+v is not a child of the request root", dec)
 	}
 }
 

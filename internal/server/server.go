@@ -457,16 +457,19 @@ func (s *Server) buildEncoded(ctx context.Context, kind string, timeoutMS int, r
 }
 
 // serveStateless is the shared serving path of the stateless endpoints.
-// With the cache enabled and a digestable request, the canonical digest is
-// the cache key and the strong ETag: an If-None-Match match answers 304
-// before any build (sound because the response is a pure function of the
-// digest), a miss builds once under singleflight, and the exact encoded
-// bytes are memoized. digestReq nil (or the cache disabled) bypasses the
-// cache entirely: build, stream, done — the pre-cache behavior, byte for
-// byte, with no ETag or X-Cache headers.
-func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, endpoint, kind string, digestReq any, timeoutMS int, run func(context.Context) (any, error), encode func(*encodeState, any) error) {
-	if s.cache != nil && digestReq != nil {
-		if key, ok := requestDigest(endpoint, digestReq); ok {
+// With the cache enabled and a digestable request, the request's digest
+// (its server.digest span) is the cache key and the strong ETag: an
+// If-None-Match match answers 304 before any build (sound because the
+// response is a pure function of the digest), a miss builds once under
+// singleflight, and the exact encoded bytes are memoized. digest nil (or
+// the cache disabled) bypasses the cache entirely: build, stream, done —
+// the pre-cache behavior, byte for byte, with no ETag or X-Cache headers.
+func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind string, digest func() (topocache.Key, bool), timeoutMS int, run func(context.Context) (any, error), encode func(*encodeState, any) error) {
+	if s.cache != nil && digest != nil {
+		span := telemetry.SpanFromContext(r.Context()).Child("server.digest")
+		key, ok := digest()
+		span.End()
+		if ok {
 			etag := topocache.ETagFor(key)
 			if inmMatches(r.Header.Get("If-None-Match"), etag) {
 				s.cache.NoteNotModified()
@@ -514,7 +517,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	mode := req.Mode
+	mode := canonicalMode(req.Mode)
 	opts := toporouting.Options{
 		Theta: req.Theta, Range: req.Range, Kappa: req.Kappa, Delta: req.Delta,
 		Telemetry: s.cfg.Telemetry,
@@ -525,10 +528,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	includeEdges := req.IncludeEdges
 	var run func(context.Context) (any, error)
 	switch mode {
-	case "", "centralized", "parallel", "tiled":
-		// One ΘALG build serves every centralized alias, so they share one
-		// response and one cache entry.
-		mode = "centralized"
+	case "centralized":
 		run = func(ctx context.Context) (any, error) {
 			start := time.Now()
 			ar := getArena()
@@ -564,16 +564,37 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 			}, nil
 		}
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized or distributed)", mode))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized or distributed)", req.Mode))
 		return
 	}
-	// Digest the parsed request with response-neutral fields normalized:
-	// timeout_ms never changes the body, and every centralized alias is
-	// one mode.
-	dreq := *req
-	dreq.TimeoutMS = 0
-	dreq.Mode = mode
-	s.serveStateless(w, r, "topology", "topology", &dreq, req.TimeoutMS, run, encodeTopology)
+	s.serveStateless(w, r, "topology", func() (topocache.Key, bool) { return topologyKey(req, mode) }, req.TimeoutMS, run, encodeTopology)
+}
+
+// canonicalMode resolves a topology request's mode. One ΘALG build serves
+// every centralized alias, so they share one response and one cache entry.
+func canonicalMode(mode string) string {
+	switch mode {
+	case "", "centralized", "parallel", "tiled":
+		return "centralized"
+	}
+	return mode
+}
+
+// topologyKey is the cache key of a topology request whose mode resolved
+// to mode. timeout_ms never changes the body, so it is left out.
+func topologyKey(req *topologyRequest, mode string) (topocache.Key, bool) {
+	d := *req
+	d.Points, d.TimeoutMS, d.Mode = nil, 0, mode
+	return requestDigest("topology", &d, req.Points)
+}
+
+// interferenceKey is the cache key of an interference request. Neither
+// timeout_ms nor workers changes the body: the interference sets are
+// bit-identical for every worker count.
+func interferenceKey(req *interferenceRequest) (topocache.Key, bool) {
+	d := *req
+	d.Points, d.TimeoutMS, d.Workers = nil, 0, 0
+	return requestDigest("interference", &d, req.Points)
 }
 
 func encodeTopology(st *encodeState, v any) error {
@@ -624,12 +645,7 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		res.elapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 		return res, nil
 	}
-	// Digest with the response-neutral fields zeroed: the interference sets
-	// are bit-identical for every worker count.
-	dreq := *req
-	dreq.TimeoutMS = 0
-	dreq.Workers = 0
-	s.serveStateless(w, r, "interference", "interference", &dreq, req.TimeoutMS, run, func(st *encodeState, v any) error {
+	s.serveStateless(w, r, "interference", func() (topocache.Key, bool) { return interferenceKey(req) }, req.TimeoutMS, run, func(st *encodeState, v any) error {
 		encodeInterferenceResult(st, v.(*interferenceResult))
 		return nil
 	})
@@ -718,7 +734,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Simulation results are deterministic per seed but bulky and rarely
 	// repeated; they stream through the pooled encoder without the cache.
-	s.serveStateless(w, r, "simulate", "simulate", nil, req.TimeoutMS, run, encodeJSONValue)
+	s.serveStateless(w, r, "simulate", nil, req.TimeoutMS, run, encodeJSONValue)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -852,17 +868,20 @@ wait:
 // size, and 50000 points encode well under this.
 const maxBodyBytes = 16 << 20
 
-// decodeJSON reads the whole body into a pooled buffer and unmarshals it —
-// no per-request decoder or read buffer. Unmarshal (unlike a Decoder) also
-// rejects trailing garbage after the JSON value.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// decodeJSON reads the whole body into a pooled buffer and decodes it in
+// one pass (decodeRequest) — no per-request decoder or read buffer. Like
+// json.Unmarshal it rejects trailing garbage after the JSON value. The read
+// and the decode are the request's server.decode span.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst pointsRequest) bool {
+	span := telemetry.SpanFromContext(r.Context()).Child("server.decode")
 	buf := getEncodeBuf()
 	defer putEncodeBuf(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = decodeRequest(buf.Bytes(), dst)
 	}
-	if err := json.Unmarshal(buf.Bytes(), dst); err != nil {
+	span.End()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return false
 	}

@@ -143,8 +143,10 @@ func NewRegistry(cfg Config) *Registry {
 
 // Create builds a topology over pts per spec and hosts it for tenant. The
 // build runs outside the registry lock (it can take seconds at large n);
-// the tenant's session slot is reserved first so concurrent creates cannot
-// blow the quota, and released if the build fails.
+// the tenant's session slot is reserved first — before the default range,
+// which costs a spanning tree, so a tenant at its cap pays nothing for its
+// QuotaError and concurrent creates cannot blow the quota — and released if
+// the range or the build fails.
 func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, spec BuildSpec) (*Session, error) {
 	if len(pts) < 2 {
 		return nil, fmt.Errorf("session: need at least two points, got %d", len(pts))
@@ -159,19 +161,28 @@ func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, 
 	if theta <= 0 || theta > math.Pi/3+1e-12 {
 		return nil, fmt.Errorf("session: theta %v outside (0, π/3]", theta)
 	}
-	dRange := spec.Range
-	if dRange == 0 {
-		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
-		dRange = unitdisk.DefaultRange(pts)
-		span.End()
-	}
-	if dRange <= 0 {
-		return nil, fmt.Errorf("session: range %v must be positive", dRange)
+	if spec.Range < 0 {
+		return nil, fmt.Errorf("session: range %v must be positive", spec.Range)
 	}
 
 	id, err := r.reserve(tenant)
 	if err != nil {
 		return nil, err
+	}
+	dRange := spec.Range
+	if dRange == 0 {
+		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
+		d, distinct := unitdisk.DefaultRangeDistinct(pts)
+		span.End()
+		if !distinct {
+			r.release(tenant)
+			return nil, topology.CheckDistinct(pts)
+		}
+		dRange = d
+	}
+	if dRange <= 0 {
+		r.release(tenant)
+		return nil, fmt.Errorf("session: range %v must be positive", dRange)
 	}
 	top, err := r.build(ctx, tenant, pts, topology.Config{Theta: theta, Range: dRange, Telemetry: r.cfg.Telemetry})
 	if err != nil {

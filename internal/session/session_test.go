@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"toporouting/internal/geom"
 	"toporouting/internal/pointset"
+	"toporouting/internal/telemetry"
 	"toporouting/internal/topology"
 )
 
@@ -104,6 +106,62 @@ func TestRegistryPanickedBuildReleasesSlot(t *testing.T) {
 	}
 	// One session is hosted; the tenant's second slot is still free.
 	mustCreate(t, r, "t", 50, 5, BuildSpec{})
+}
+
+// TestRegistryQuotaBeforeRange pins the order of a create's checks: a
+// tenant at its cap gets its QuotaError before the default range is
+// chosen (no unitdisk.critical_range span), and a create that fails on its
+// range or points — coincident points before any spanning tree, a
+// negative range, coincident points under an explicit range — leaves the
+// tenant's slot count as it was.
+func TestRegistryQuotaBeforeRange(t *testing.T) {
+	r := testRegistry(t, Config{MaxSessionsPerTenant: 2})
+	slots := func() int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.tenant("t").sessions
+	}
+	mustCreate(t, r, "t", 50, 1, BuildSpec{})
+	dup := pointset.Generate(pointset.KindUniform, 50, 2)
+	dup[40] = dup[9]
+	for _, c := range []struct {
+		name string
+		pts  []geom.Point
+		spec BuildSpec
+		want error
+	}{
+		{"coincident, default range", dup, BuildSpec{}, topology.ErrCoincidentPoints},
+		{"coincident, explicit range", dup, BuildSpec{Range: 0.3}, topology.ErrCoincidentPoints},
+		{"negative range", pointset.Generate(pointset.KindUniform, 50, 3), BuildSpec{Range: -1}, nil},
+	} {
+		before := slots()
+		_, err := r.Create(context.Background(), "t", c.pts, c.spec)
+		if err == nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Fatalf("%s: got %v, want an error (%v)", c.name, err, c.want)
+		}
+		if after := slots(); after != before {
+			t.Fatalf("%s: tenant slots %d → %d, want unchanged", c.name, before, after)
+		}
+	}
+
+	mustCreate(t, r, "t", 50, 4, BuildSpec{})
+	ring := telemetry.NewTraceRing(4, 4)
+	ctx, root := telemetry.NewTracer(nil, ring).Start(context.Background(), "create")
+	_, err := r.Create(ctx, "t", pointset.Generate(pointset.KindUniform, 2000, 5), BuildSpec{})
+	root.End()
+	var qe *QuotaError
+	if !errors.As(err, &qe) {
+		t.Fatalf("capped tenant: want QuotaError, got %v", err)
+	}
+	traces := ring.Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces retained, want 1", len(traces))
+	}
+	for _, sp := range traces[0].Spans {
+		if sp.Name == "unitdisk.critical_range" {
+			t.Fatal("a capped tenant's create chose a default range before its QuotaError")
+		}
+	}
 }
 
 func TestRegistryTenantScopedLookup(t *testing.T) {

@@ -34,9 +34,17 @@ import (
 // any other exact MST algorithm. Squared lengths that overflow are +Inf;
 // if the tree needs one, the result is +Inf.
 func SpanningTree(pts []geom.Point, edge func(u, v int, d2 float64)) float64 {
+	longest2, _ := spanningTree(pts, edge, false)
+	return longest2
+}
+
+// spanningTree is SpanningTree. With distinct set it stops as soon as the
+// nearest-neighbour pass shows two points sharing a position, and reports
+// that instead of joining the zero-length pairs.
+func spanningTree(pts []geom.Point, edge func(u, v int, d2 float64), distinct bool) (longest2 float64, coincident bool) {
 	n := len(pts)
 	if n < 2 {
-		return 0
+		return 0, false
 	}
 	k := kruskalPool.Get().(*kruskal)
 	defer k.release()
@@ -46,7 +54,16 @@ func SpanningTree(pts []geom.Point, edge func(u, v int, d2 float64)) float64 {
 		k.parent[i] = int32(i)
 	}
 	k.build(pts)
-	hi2, min2 := k.nearestBound()
+	hi2, min2 := k.nearestBound(distinct)
+	if distinct && min2 == 0 {
+		// The pass stopped at a zero nearest-neighbour distance: two
+		// points at one position, or two distinct points so close that
+		// their d² underflows.
+		if hasCoincident(pts) {
+			return 0, true
+		}
+		hi2, min2 = k.nearestBound(false)
+	}
 	// No pair is closer than the smallest nearest-neighbour distance, so
 	// the first band may start just below it; zero-length pairs are
 	// joined first.
@@ -90,7 +107,21 @@ func SpanningTree(pts []geom.Point, edge func(u, v int, d2 float64)) float64 {
 		}
 		lo2, hi2 = hi2, hi2*grow
 	}
-	return k.longest
+	return k.longest, false
+}
+
+// hasCoincident reports whether two points share a position. It stops at
+// the first repeat, so a set of many copies of one point costs almost
+// nothing.
+func hasCoincident(pts []geom.Point) bool {
+	seen := make(map[geom.Point]struct{}, min(len(pts), 1024))
+	for _, p := range pts {
+		if _, dup := seen[p]; dup {
+			return true
+		}
+		seen[p] = struct{}{}
+	}
+	return false
 }
 
 // bandGrowth is the ratio of consecutive bands' squared radii (1.25²).
@@ -329,8 +360,9 @@ func gap(alo, ahi, blo, bhi float64) float64 {
 func sq(x float64) float64 { return x * x }
 
 // nearestBound returns the largest squared nearest-neighbour distance, a
-// lower bound on the squared longest tree edge, and the smallest one.
-func (k *kruskal) nearestBound() (max2, min2 float64) {
+// lower bound on the squared longest tree edge, and the smallest one. With
+// stopAtZero set it returns as soon as the smallest reads 0.
+func (k *kruskal) nearestBound(stopAtZero bool) (max2, min2 float64) {
 	k.nn = resize(k.nn, len(k.tp))
 	for i := range k.nn {
 		k.nn[i] = math.Inf(1)
@@ -345,6 +377,9 @@ func (k *kruskal) nearestBound() (max2, min2 float64) {
 		k.nearest(leaf, 0, nn, math.Inf(1))
 		for _, d2 := range nn {
 			max2, min2 = math.Max(max2, d2), math.Min(min2, d2)
+		}
+		if stopAtZero && min2 == 0 {
+			break
 		}
 	}
 	return max2, min2

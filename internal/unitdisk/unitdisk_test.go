@@ -264,6 +264,50 @@ func TestDefaultRange(t *testing.T) {
 	}
 }
 
+// TestDefaultRangeDistinct: the variant reports coincident points, and
+// otherwise returns DefaultRange bit for bit — also when two distinct
+// points are so close that their squared distance underflows to 0, which
+// looks like coincidence to the nearest-neighbour pass.
+func TestDefaultRangeDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	same := make([]geom.Point, 50000)
+	for i := range same {
+		same[i] = geom.Pt(0.5, 0.5)
+	}
+	late := pointset.Uniform(2000, 1, rng)
+	late[1999] = late[0]
+	sets := map[string][]geom.Point{
+		"identical":     same,
+		"late repeat":   late,
+		"signed zeros":  {geom.Pt(0, 0), geom.Pt(math.Copysign(0, -1), 0), geom.Pt(1, 1)},
+		"underflow":     {geom.Pt(0, 0), geom.Pt(1e-200, 0), geom.Pt(1, 0)},
+		"subnormal":     {geom.Pt(0, 0), geom.Pt(1e-170, 0), geom.Pt(2e-170, 0), geom.Pt(1, 0)},
+		"one":           {geom.Pt(1, 1)},
+		"pair-coincide": {geom.Pt(1, 1), geom.Pt(1, 1)},
+	}
+	for k := pointset.KindUniform; k <= pointset.KindBridge; k++ {
+		sets[k.String()] = pointset.Generate(k, 500, 1)
+	}
+	for name, pts := range sets {
+		seen := map[geom.Point]bool{}
+		wantDistinct := true
+		for _, p := range pts {
+			wantDistinct = wantDistinct && !seen[p]
+			seen[p] = true
+		}
+		d, distinct := DefaultRangeDistinct(pts)
+		if distinct != wantDistinct {
+			t.Fatalf("%s: distinct = %v, want %v", name, distinct, wantDistinct)
+		}
+		if !distinct {
+			continue
+		}
+		if want := DefaultRange(pts); d != want {
+			t.Fatalf("%s: DefaultRangeDistinct = %v, DefaultRange %v", name, d, want)
+		}
+	}
+}
+
 // FuzzCriticalRange checks CriticalRange against the dense Prim on fuzzed
 // sets. The bytes pick coordinates on a coarse lattice, so coincident
 // points are common; an x byte with low bits 00 puts the point on the

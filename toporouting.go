@@ -87,10 +87,15 @@ func (o Options) withDefaults(ctx context.Context, pts []Point) (Options, error)
 	}
 	if o.Range == 0 {
 		// The default range costs a spanning tree over pts; its own span
-		// keeps that out of the caller's self time in traces.
+		// keeps that out of the caller's self time in traces. Coincident
+		// points, which every build rejects, are caught before the tree.
 		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
-		o.Range = unitdisk.DefaultRange(pts)
+		d, distinct := unitdisk.DefaultRangeDistinct(pts)
 		span.End()
+		if !distinct {
+			return o, topology.CheckDistinct(pts)
+		}
+		o.Range = d
 	}
 	if o.Range <= 0 {
 		return o, fmt.Errorf("toporouting: range %v must be positive", o.Range)
