@@ -58,37 +58,65 @@ func FuzzAzimuth(f *testing.F) {
 	})
 }
 
-// FuzzSectorIndex pins the ΘALG cone partition against its two failure
-// modes: an index escaping [0, k) at the 2π wraparound, and the half-open
-// boundary [i·w, (i+1)·w) being violated by more than one float of
-// rounding. It also requires the oriented variant with offset 0 to agree
-// exactly with the unoriented one (BuildTheta switches between the two
-// code paths based on Config.Orientations).
+// FuzzSectorIndex pins the ΘALG cone partition. IndexOf must equal its
+// atan2 definition (indexAtan2) on every input, so the cross-product fast
+// path may never disagree with it, near a boundary ray or anywhere else.
+// When both directions of a pair take the fast path and k is even, the
+// reverse direction lies exactly k/2 sectors on. The index stays in
+// [0, k) at the 2π wraparound, the half-open boundary [i·w, (i+1)·w) holds
+// modulo one float of rounding, and the oriented variant with offset 0
+// agrees exactly with the unoriented one (BuildTheta switches between the
+// two based on Config.Orientations).
 func FuzzSectorIndex(f *testing.F) {
 	f.Add(math.Pi/6, 0.0, 0.0, 1.0, 0.0, 0.0)
 	f.Add(math.Pi/6, 0.0, 0.0, 1.0, -1e-18, 1.0) // direction just below 2π
 	f.Add(math.Pi/3, 0.5, 0.5, 0.5, 1.5, -math.Pi)
 	f.Add(0.1, -3.0, 4.0, 12.0, -7.0, 100.0)
-	f.Add(1e-3, 0.0, 0.0, -1.0, 0.0, 0.0) // many sectors, angle π
+	f.Add(1e-3, 0.0, 0.0, -1.0, 0.0, 0.0)                    // many sectors, angle π
+	f.Add(math.Pi/6, 0.0, 0.0, 5e-324, 5e-324, 0.0)          // subnormal difference
+	f.Add(math.Pi/6, 0.0, 0.0, 1e-310, 3e-310, 0.0)          // subnormal difference
+	f.Add(math.Pi/6, -1e308, -1e308, 1e308, 0.5e308, 0.0)    // overflowing difference
+	f.Add(math.Pi/4, 1e308, 1e308, -0.5e308, -0.25e308, 0.0) // large, finite
+	for _, theta := range []float64{math.Pi / 3, math.Pi / 4, math.Pi / 6, 0.1, 0.9} {
+		for _, d := range boundaryDirections(NewSectors(theta)) {
+			f.Add(theta, 0.25, -0.5, 0.25+d.X, -0.5+d.Y, 0.0)
+		}
+	}
 	f.Fuzz(func(t *testing.T, theta, ux, uy, vx, vy, offset float64) {
 		if !(theta > 1e-6 && theta <= math.Pi/3) || anyNonFinite(ux, uy, vx, vy, offset) {
 			t.Skip()
 		}
 		u, v := Pt(ux, uy), Pt(vx, vy)
-		if u == v {
-			t.Skip()
-		}
 		s := NewSectors(theta)
 		k := s.Count()
+		i := s.IndexOf(u, v)
+		if want := s.indexAtan2(u, v); i != want {
+			t.Fatalf("IndexOf(%v, %v) = %d, atan2 index %d (θ=%v)", u, v, i, want, theta)
+		}
+		if back := s.IndexOf(v, u); back != s.indexAtan2(v, u) {
+			t.Fatalf("IndexOf(%v, %v) = %d, atan2 index %d (θ=%v)", v, u, back, s.indexAtan2(v, u), theta)
+		}
+		_, fwd := s.rays.index(v.X-u.X, v.Y-u.Y)
+		_, rev := s.rays.index(u.X-v.X, u.Y-v.Y)
+		if k%2 == 0 && fwd != rev {
+			t.Fatalf("fast path taken one way only for %v → %v (θ=%v)", u, v, theta)
+		}
+		if fwd && rev && k%2 == 0 {
+			if back := s.IndexOf(v, u); back != (i+k/2)%k {
+				t.Fatalf("IndexOf(v, u) = %d, want (%d + k/2) mod %d", back, i, k)
+			}
+		}
+		if u == v {
+			if i != 0 {
+				t.Fatalf("IndexOf(p, p) = %d, want 0", i)
+			}
+			return
+		}
 		if w := s.Width(); w > theta+1e-12 {
 			t.Fatalf("sector width %v exceeds θ=%v", w, theta)
 		}
-		i := s.IndexOf(u, v)
 		if i < 0 || i >= k {
 			t.Fatalf("IndexOf = %d outside [0, %d)", i, k)
-		}
-		if !s.Contains(i, u, v) {
-			t.Fatalf("sector %d does not contain its own direction", i)
 		}
 		if oi := s.IndexOfOriented(u, v, 0); oi != i {
 			t.Fatalf("IndexOfOriented(offset=0) = %d, IndexOf = %d", oi, i)

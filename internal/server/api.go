@@ -24,19 +24,37 @@ type pointSpec struct {
 	Seed   int64        `json:"seed,omitempty"`
 }
 
-// resolve materializes the spec into node positions, enforcing the server's
-// node cap. Explicit coordinates must be finite — the same contract
-// fileio.ReadPoints enforces on disk inputs.
-func (p pointSpec) resolve(maxNodes int) ([]toporouting.Point, error) {
+// check enforces the server's node cap and, for explicit coordinates,
+// their finiteness — the same contract fileio.ReadPoints enforces on disk
+// inputs. It reads the decoded points in place and allocates nothing, so a
+// request answered from the response cache never pays for positions.
+func (p *pointSpec) check(maxNodes int) error {
 	if len(p.Points) > 0 {
 		if len(p.Points) > maxNodes {
-			return nil, fmt.Errorf("%d points exceeds the server cap of %d", len(p.Points), maxNodes)
+			return fmt.Errorf("%d points exceeds the server cap of %d", len(p.Points), maxNodes)
 		}
-		pts := make([]toporouting.Point, len(p.Points))
 		for i, xy := range p.Points {
 			if !finite(xy[0]) || !finite(xy[1]) {
-				return nil, fmt.Errorf("points[%d]: non-finite coordinate (%v, %v)", i, xy[0], xy[1])
+				return fmt.Errorf("points[%d]: non-finite coordinate (%v, %v)", i, xy[0], xy[1])
 			}
+		}
+		return nil
+	}
+	if p.N < 2 {
+		return errors.New("need points or n ≥ 2")
+	}
+	if p.N > maxNodes {
+		return fmt.Errorf("n %d exceeds the server cap of %d", p.N, maxNodes)
+	}
+	return nil
+}
+
+// positions materializes a checked spec into node positions. The only
+// error left is an unknown distribution name.
+func (p *pointSpec) positions() ([]toporouting.Point, error) {
+	if len(p.Points) > 0 {
+		pts := make([]toporouting.Point, len(p.Points))
+		for i, xy := range p.Points {
 			pts[i] = toporouting.Pt(xy[0], xy[1])
 		}
 		return pts, nil
@@ -45,13 +63,15 @@ func (p pointSpec) resolve(maxNodes int) ([]toporouting.Point, error) {
 	if dist == "" {
 		dist = "uniform"
 	}
-	if p.N < 2 {
-		return nil, errors.New("need points or n ≥ 2")
-	}
-	if p.N > maxNodes {
-		return nil, fmt.Errorf("n %d exceeds the server cap of %d", p.N, maxNodes)
-	}
 	return toporouting.GeneratePoints(dist, p.N, p.Seed)
+}
+
+// resolve checks the spec and materializes it into node positions.
+func (p *pointSpec) resolve(maxNodes int) ([]toporouting.Point, error) {
+	if err := p.check(maxNodes); err != nil {
+		return nil, err
+	}
+	return p.positions()
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

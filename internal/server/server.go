@@ -411,8 +411,8 @@ func (s *Server) runJob(parent context.Context, kind string, timeoutMS int, run 
 // writeRunError renders a failed runJob: backpressure shedding (429 with a
 // derived Retry-After, 503 while draining), an expired request deadline
 // (504), a cancelled request (client gone or drain forcing, 503), an input
-// the builder rejects (coincident points, 400), and 500 for everything
-// else.
+// the builder or a prepare step rejects (coincident points, an unknown
+// distribution: 400), and 500 for everything else.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
@@ -430,12 +430,16 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 		// Client disconnect or drain; the client is likely gone, but be
 		// explicit for the ones that are not.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled")
-	case errors.Is(err, toporouting.ErrCoincidentPoints):
+	case errors.Is(err, toporouting.ErrCoincidentPoints), errors.As(err, new(badRequest)):
 		writeError(w, http.StatusBadRequest, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
 }
+
+// badRequest marks an error the client caused that surfaced on the build
+// path, past the handler's own 400s; writeRunError answers it 400.
+type badRequest struct{ error }
 
 // buildEncoded runs the job and streams its result into a pooled encode
 // state. Encoding the success response is the last leg of a traced request,
@@ -464,7 +468,10 @@ func (s *Server) buildEncoded(ctx context.Context, kind string, timeoutMS int, r
 // singleflight, and the exact encoded bytes are memoized. digest nil (or
 // the cache disabled) bypasses the cache entirely: build, stream, done —
 // the pre-cache behavior, byte for byte, with no ETag or X-Cache headers.
-func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind string, digest func() (topocache.Key, bool), timeoutMS int, run func(context.Context) (any, error), encode func(*encodeState, any) error) {
+// prepare, when not nil, readies what run reads (the node positions) in
+// the handler's goroutine once a build is due, so a cache hit never pays
+// for it; its error is the client's and answers 400.
+func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind string, digest func() (topocache.Key, bool), timeoutMS int, prepare func() error, run func(context.Context) (any, error), encode func(*encodeState, any) error) {
 	if s.cache != nil && digest != nil {
 		span := telemetry.SpanFromContext(r.Context()).Child("server.digest")
 		key, ok := digest()
@@ -479,6 +486,11 @@ func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind str
 				return
 			}
 			entry, src, err := s.cache.GetOrBuild(r.Context(), key, func() (*topocache.Entry, error) {
+				if prepare != nil {
+					if err := prepare(); err != nil {
+						return nil, badRequest{err}
+					}
+				}
 				st, err := s.buildEncoded(r.Context(), kind, timeoutMS, run, encode)
 				if err != nil {
 					return nil, err
@@ -497,6 +509,12 @@ func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind str
 			return
 		}
 	}
+	if prepare != nil {
+		if err := prepare(); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
 	st, err := s.buildEncoded(r.Context(), kind, timeoutMS, run, encode)
 	if err != nil {
 		s.writeRunError(w, err)
@@ -512,10 +530,14 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, req) {
 		return
 	}
-	pts, err := req.resolve(s.cfg.MaxNodes)
-	if err != nil {
+	if err := req.check(s.cfg.MaxNodes); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	var pts []toporouting.Point // set by prepare, once the cache misses
+	prepare := func() (err error) {
+		pts, err = req.positions()
+		return err
 	}
 	mode := canonicalMode(req.Mode)
 	opts := toporouting.Options{
@@ -524,7 +546,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 	// The run closures capture locals, never req: the pooled request struct
 	// is recycled when the handler returns, and a queue-retired job must not
-	// read it.
+	// read it. prepare reads req, but runs in the handler before the job.
 	includeEdges := req.IncludeEdges
 	var run func(context.Context) (any, error)
 	switch mode {
@@ -567,7 +589,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized or distributed)", req.Mode))
 		return
 	}
-	s.serveStateless(w, r, "topology", func() (topocache.Key, bool) { return topologyKey(req, mode) }, req.TimeoutMS, run, encodeTopology)
+	s.serveStateless(w, r, "topology", func() (topocache.Key, bool) { return topologyKey(req, mode) }, req.TimeoutMS, prepare, run, encodeTopology)
 }
 
 // canonicalMode resolves a topology request's mode. One ΘALG build serves
@@ -610,10 +632,14 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, req) {
 		return
 	}
-	pts, err := req.resolve(s.cfg.MaxNodes)
-	if err != nil {
+	if err := req.check(s.cfg.MaxNodes); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	var pts []toporouting.Point // set by prepare, once the cache misses
+	prepare := func() (err error) {
+		pts, err = req.positions()
+		return err
 	}
 	opts := toporouting.Options{
 		Theta: req.Theta, Range: req.Range, Delta: req.Delta,
@@ -645,7 +671,7 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		res.elapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 		return res, nil
 	}
-	s.serveStateless(w, r, "interference", func() (topocache.Key, bool) { return interferenceKey(req) }, req.TimeoutMS, run, func(st *encodeState, v any) error {
+	s.serveStateless(w, r, "interference", func() (topocache.Key, bool) { return interferenceKey(req) }, req.TimeoutMS, prepare, run, func(st *encodeState, v any) error {
 		encodeInterferenceResult(st, v.(*interferenceResult))
 		return nil
 	})
@@ -734,7 +760,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Simulation results are deterministic per seed but bulky and rarely
 	// repeated; they stream through the pooled encoder without the cache.
-	s.serveStateless(w, r, "simulate", nil, req.TimeoutMS, run, encodeJSONValue)
+	s.serveStateless(w, r, "simulate", nil, req.TimeoutMS, nil, run, encodeJSONValue)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -156,8 +156,11 @@ func TestInterferenceEndpoint(t *testing.T) {
 	}
 }
 
+// TestBadRequests runs with the response cache on and off: the stateless
+// endpoints materialize positions only once the cache misses, so an
+// unknown distribution is found on the build path in one case and before
+// the build in the other, and must answer 400 in both.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxNodes: 100, MaxSteps: 1000})
 	cases := []struct {
 		name, path string
 		body       any
@@ -166,18 +169,24 @@ func TestBadRequests(t *testing.T) {
 		{"n too large", "/v1/topology", map[string]any{"n": 101}},
 		{"bad mode", "/v1/topology", map[string]any{"n": 10, "mode": "quantum"}},
 		{"non-finite point", "/v1/topology", map[string]any{"points": [][2]any{{"NaN", 1}, {0, 0}}}},
+		{"points over cap", "/v1/interference", map[string]any{"points": make([][2]float64, 101)}},
+		{"unknown dist", "/v1/topology", map[string]any{"dist": "spiral", "n": 10}},
+		{"unknown dist", "/v1/interference", map[string]any{"dist": "spiral", "n": 10}},
 		{"no steps", "/v1/simulate", map[string]any{"n": 10}},
 		{"steps over cap", "/v1/simulate", map[string]any{"n": 10, "steps": 100, "runs": 50}},
 		{"bad mac", "/v1/simulate", map[string]any{"n": 10, "steps": 5, "mac": "psychic"}},
 	}
-	for _, c := range cases {
-		resp, body := postJSON(t, ts.URL+c.path, c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400 (body %s)", c.name, resp.StatusCode, body)
-		}
-		var e errorBody
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Errorf("%s: no error envelope in %s", c.name, body)
+	for _, cacheBytes := range []int64{0, -1} {
+		_, ts := newTestServer(t, Config{MaxNodes: 100, MaxSteps: 1000, CacheBytes: cacheBytes})
+		for _, c := range cases {
+			resp, body := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("cache %d, %s %s: status = %d, want 400 (body %s)", cacheBytes, c.path, c.name, resp.StatusCode, body)
+			}
+			var e errorBody
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Errorf("cache %d, %s %s: no error envelope in %s", cacheBytes, c.path, c.name, body)
+			}
 		}
 	}
 }
@@ -231,9 +240,9 @@ func TestCoincidentPoints400(t *testing.T) {
 	for i := range copies {
 		copies[i] = [2]float64{0.5, 0.5}
 	}
-	for _, path := range []string{"/v1/topology", "/v1/sessions"} {
+	for _, path := range []string{"/v1/topology", "/v1/sessions", "/v1/simulate"} {
 		t0 := time.Now()
-		resp, body := postJSON(t, ts.URL+path, map[string]any{"points": copies})
+		resp, body := postJSON(t, ts.URL+path, map[string]any{"points": copies, "steps": 4})
 		elapsed := time.Since(t0)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "coincident points") {
 			t.Fatalf("%s, 50 000 copies: %d %s", path, resp.StatusCode, body)

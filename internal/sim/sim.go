@@ -302,7 +302,13 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		case MACGiven, MACRandom:
 			d := cfg.Range
 			if d <= 0 {
-				d = unitdisk.CriticalRange(pts) * cfg.RangeSlack
+				// Coincident points, which every build rejects, are
+				// caught before the spanning tree.
+				c, distinct := unitdisk.CriticalRangeDistinct(pts)
+				if !distinct {
+					return topology.CheckDistinct(pts)
+				}
+				d = c * cfg.RangeSlack
 			}
 			if churn {
 				top, err := topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)

@@ -71,14 +71,14 @@ func DefaultRange(pts []geom.Point) float64 {
 	return CriticalRange(pts) * DefaultSlack
 }
 
-// DefaultRangeDistinct is DefaultRange for a caller that requires distinct
-// positions, as ΘALG does. When two points share a position it returns
-// distinct = false as soon as the spanning tree's nearest-neighbour pass
-// shows it, without joining the zero-length pairs: 50 000 copies of one
-// point cost ≈ 10 ms here against ≈ 0.5 s in DefaultRange on a 2-vCPU
-// host. For distinct points it returns DefaultRange(pts) and true, at the
+// CriticalRangeDistinct is CriticalRange for a caller that requires
+// distinct positions, as ΘALG does. When two points share a position it
+// returns distinct = false as soon as the spanning tree's nearest-neighbour
+// pass shows it, without joining the zero-length pairs: 50 000 copies of
+// one point cost ≈ 10 ms here against ≈ 0.5 s in CriticalRange on a 2-vCPU
+// host. For distinct points it returns CriticalRange(pts) and true, at the
 // same cost.
-func DefaultRangeDistinct(pts []geom.Point) (d float64, distinct bool) {
+func CriticalRangeDistinct(pts []geom.Point) (d float64, distinct bool) {
 	if len(pts) < 2 {
 		return 0, true
 	}
@@ -86,7 +86,15 @@ func DefaultRangeDistinct(pts []geom.Point) (d float64, distinct bool) {
 	if coincident {
 		return 0, false
 	}
-	return criticalFromLongest2(longest2) * DefaultSlack, true
+	return criticalFromLongest2(longest2), true
+}
+
+// DefaultRangeDistinct is DefaultRange on top of CriticalRangeDistinct:
+// DefaultRange(pts) and true for distinct points, and distinct = false,
+// found early, when two points share a position.
+func DefaultRangeDistinct(pts []geom.Point) (d float64, distinct bool) {
+	d, distinct = CriticalRangeDistinct(pts)
+	return d * DefaultSlack, distinct
 }
 
 // ConnectedBuild builds a connected transmission graph by using

@@ -264,8 +264,8 @@ func TestDefaultRange(t *testing.T) {
 	}
 }
 
-// TestDefaultRangeDistinct: the variant reports coincident points, and
-// otherwise returns DefaultRange bit for bit — also when two distinct
+// TestDefaultRangeDistinct: the variants report coincident points, and
+// otherwise return DefaultRange and CriticalRange bit for bit — also when two distinct
 // points are so close that their squared distance underflows to 0, which
 // looks like coincidence to the nearest-neighbour pass.
 func TestDefaultRangeDistinct(t *testing.T) {
@@ -296,14 +296,18 @@ func TestDefaultRangeDistinct(t *testing.T) {
 			seen[p] = true
 		}
 		d, distinct := DefaultRangeDistinct(pts)
-		if distinct != wantDistinct {
-			t.Fatalf("%s: distinct = %v, want %v", name, distinct, wantDistinct)
+		c, cDistinct := CriticalRangeDistinct(pts)
+		if distinct != wantDistinct || cDistinct != wantDistinct {
+			t.Fatalf("%s: distinct = %v (critical %v), want %v", name, distinct, cDistinct, wantDistinct)
 		}
 		if !distinct {
 			continue
 		}
 		if want := DefaultRange(pts); d != want {
 			t.Fatalf("%s: DefaultRangeDistinct = %v, DefaultRange %v", name, d, want)
+		}
+		if want := CriticalRange(pts); c != want {
+			t.Fatalf("%s: CriticalRangeDistinct = %v, CriticalRange %v", name, c, want)
 		}
 	}
 }
