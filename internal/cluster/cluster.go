@@ -184,9 +184,7 @@ func (c *Cluster) attachLocked(s *session.Session, tenant string, primary int) e
 		}
 	})
 	if err != nil {
-		for _, m := range mirrors {
-			m.close()
-		}
+		closeAll(mirrors)
 		return err
 	}
 	for _, m := range mirrors {
@@ -210,16 +208,24 @@ func (c *Cluster) lookup(tenant, id string) (*route, *shard, error) {
 	return rt, c.shards[rt.primary], nil
 }
 
-// Get returns tenant's session handle for writes (event application).
-func (c *Cluster) Get(tenant, id string) (*session.Session, error) {
-	_, sh, err := c.lookup(tenant, id)
+// primary resolves id to its route and its primary session. The registry
+// lookup doubles as the liveness/TTL check: a session its shard's sweeper
+// evicted has its route reaped, so no mirror serves it afterwards.
+func (c *Cluster) primary(tenant, id string) (*route, *session.Session, error) {
+	rt, sh, err := c.lookup(tenant, id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s, err := sh.reg.Get(tenant, id)
 	if err == session.ErrNotFound {
-		c.dropRoute(id) // idle-evicted by the shard's sweeper; reap the route
+		c.dropRoute(id)
 	}
+	return rt, s, err
+}
+
+// Get returns tenant's session handle for writes (event application).
+func (c *Cluster) Get(tenant, id string) (*session.Session, error) {
+	_, s, err := c.primary(tenant, id)
 	return s, err
 }
 
@@ -236,19 +242,29 @@ func (c *Cluster) Delete(tenant, id string) error {
 
 // dropRoute removes id's placement record and closes its mirrors.
 func (c *Cluster) dropRoute(id string) {
+	var mirrors []*replica
 	c.mu.Lock()
-	rt, ok := c.routes[id]
-	if ok {
-		delete(c.routes, id)
-		for _, m := range rt.mirrors {
-			delete(c.shards[m.shard].mirrors, id)
-		}
+	if rt, ok := c.routes[id]; ok {
+		mirrors = c.unrouteLocked(id, rt)
 	}
 	c.mu.Unlock()
-	if ok {
-		for _, m := range rt.mirrors {
-			m.close()
-		}
+	closeAll(mirrors)
+}
+
+// unrouteLocked removes id's placement record and its mirrors' shard
+// entries, returning the mirrors for the caller to close. Caller holds
+// c.mu.
+func (c *Cluster) unrouteLocked(id string, rt *route) []*replica {
+	for _, m := range rt.mirrors {
+		delete(c.shards[m.shard].mirrors, id)
+	}
+	delete(c.routes, id)
+	return rt.mirrors
+}
+
+func closeAll(mirrors []*replica) {
+	for _, m := range mirrors {
+		m.close()
 	}
 }
 
@@ -256,17 +272,8 @@ func (c *Cluster) dropRoute(id string) {
 // within the staleness budget and falling back to the primary otherwise.
 // source reports which served ("replica" or "primary").
 func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int64, buf *bytes.Buffer) (outcome session.GetOutcome, gen int64, source string, err error) {
-	rt, sh, err := c.lookup(tenant, id)
+	rt, s, err := c.primary(tenant, id)
 	if err != nil {
-		return session.FullServed, 0, "", err
-	}
-	// The primary lookup doubles as the liveness/TTL check: a replica must
-	// never serve a session its registry already evicted.
-	s, err := sh.reg.Get(tenant, id)
-	if err != nil {
-		if err == session.ErrNotFound {
-			c.dropRoute(id)
-		}
 		return session.FullServed, 0, "", err
 	}
 	if m := c.pickReplica(rt); m != nil {
@@ -299,15 +306,8 @@ func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int6
 // is available (its tailer pushes the same records the primary would),
 // falling back to the primary session.
 func (c *Cluster) Subscribe(ctx context.Context, tenant, id string, buffer int) (<-chan session.DeltaRecord, int64, func(), string, error) {
-	rt, sh, err := c.lookup(tenant, id)
+	rt, s, err := c.primary(tenant, id)
 	if err != nil {
-		return nil, 0, nil, "", err
-	}
-	s, err := sh.reg.Get(tenant, id)
-	if err != nil {
-		if err == session.ErrNotFound {
-			c.dropRoute(id)
-		}
 		return nil, 0, nil, "", err
 	}
 	if m := c.pickReplica(rt); m != nil && m.lag() <= int64(c.cfg.StalenessBudget) {
@@ -547,29 +547,19 @@ func (c *Cluster) promoteLocked(id string, rt *route, st *RebalanceStats) {
 		c.loseLocked(id, rt, st)
 		return
 	}
-	oldMirrors := rt.mirrors
-	for _, m := range oldMirrors {
-		delete(c.shards[m.shard].mirrors, id)
-	}
-	delete(c.routes, id)
+	oldMirrors := c.unrouteLocked(id, rt)
 	if err := c.attachLocked(s, rt.tenant, owners[0]); err != nil {
 		c.shards[owners[0]].reg.Delete(rt.tenant, id)
 		st.Lost++
 	} else {
 		st.Moved++
 	}
-	for _, m := range oldMirrors {
-		m.close()
-	}
+	closeAll(oldMirrors)
 }
 
 // loseLocked drops a session whose state cannot be recovered.
 func (c *Cluster) loseLocked(id string, rt *route, st *RebalanceStats) {
-	for _, m := range rt.mirrors {
-		delete(c.shards[m.shard].mirrors, id)
-		m.close()
-	}
-	delete(c.routes, id)
+	closeAll(c.unrouteLocked(id, rt))
 	st.Lost++
 }
 
@@ -580,26 +570,12 @@ func (c *Cluster) loseLocked(id string, rt *route, st *RebalanceStats) {
 func (c *Cluster) rereplicateLocked(id string, rt *route, st *RebalanceStats) {
 	sh := c.shards[rt.primary]
 	s, err := sh.reg.Get(rt.tenant, id)
-	if err != nil {
-		// Evicted between placement and now; reap the route.
-		for _, m := range rt.mirrors {
-			delete(c.shards[m.shard].mirrors, id)
-			m.close()
-		}
-		delete(c.routes, id)
-		return
-	}
-	oldMirrors := rt.mirrors
-	for _, m := range oldMirrors {
-		delete(c.shards[m.shard].mirrors, id)
-	}
-	delete(c.routes, id)
-	if err := c.attachLocked(s, rt.tenant, rt.primary); err == nil {
+	oldMirrors := c.unrouteLocked(id, rt)
+	// A session evicted between placement and now just loses its route.
+	if err == nil && c.attachLocked(s, rt.tenant, rt.primary) == nil {
 		st.Rereplicated++
 	}
-	for _, m := range oldMirrors {
-		m.close() // idempotent for the dead-shard mirror Kill also closes
-	}
+	closeAll(oldMirrors) // idempotent for the dead-shard mirror Kill also closes
 }
 
 // Close drains every shard and mirror. Safe to call more than once.
@@ -618,8 +594,6 @@ func (c *Cluster) Close() {
 		sh.reg.Close()
 	}
 	for _, rt := range routes {
-		for _, m := range rt.mirrors {
-			m.close()
-		}
+		closeAll(rt.mirrors)
 	}
 }

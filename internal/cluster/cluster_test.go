@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func clusterCreate(t *testing.T, c *Cluster, tenant string, n int, seed int64) *
 
 // firstMirror returns the session's first mirror (white-box: the tests live
 // in the package so they can reach placement state the API hides).
-func firstMirror(t *testing.T, c *Cluster, id string) *replica {
+func firstMirror(t testing.TB, c *Cluster, id string) *replica {
 	t.Helper()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -50,7 +51,7 @@ func firstMirror(t *testing.T, c *Cluster, id string) *replica {
 	return rt.mirrors[0]
 }
 
-func waitCaughtUp(t *testing.T, m *replica) {
+func waitCaughtUp(t testing.TB, m *replica) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for m.lag() != 0 {
@@ -98,19 +99,107 @@ func TestClusterCreateGetDeleteAcrossShards(t *testing.T) {
 // TestReplicaReadEquivalence pins the replica read contract: a caught-up
 // mirror serves byte-identical responses to the primary for every cursor —
 // 304, delta, and full snapshot alike — and the cluster reports the source.
+// The mixed case sends joins and leaves through the mirror's swap-remove
+// replay. Each case then kills the primary's shard: the session promoted
+// from the mirror's checkpoint must read the same as a session in a bare
+// registry that saw the same events.
 func TestReplicaReadEquivalence(t *testing.T) {
-	c := testCluster(t, Config{Shards: 2, Replicas: 1})
-	s := clusterCreate(t, c, "acme", 80, 9)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 20; i++ {
-		res, err := s.Apply(ctx, session.Event{Op: "move", Node: rng.Intn(80), X: rng.Float64(), Y: rng.Float64()})
-		if err != nil || res.Err != "" {
-			t.Fatalf("apply %d: %v / %s", i, err, res.Err)
-		}
+	cases := []struct {
+		name   string
+		nodes  int
+		ring   int        // DeltaRing; 0 keeps the default
+		seeds  [][2]int64 // (point seed, event seed)
+		events int
+		mixed  bool
+	}{
+		{name: "moves", nodes: 80, seeds: [][2]int64{{9, 17}}, events: 20},
+		{name: "join-leave-move", nodes: 60, ring: 64, seeds: [][2]int64{{1, 101}, {2, 102}, {3, 103}, {4, 104}, {5, 105}}, events: 200, mixed: true},
 	}
-	waitCaughtUp(t, firstMirror(t, c, s.ID))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range tc.seeds {
+				cfg := session.Config{IdleTTL: -1, EventRate: -1, DeltaRing: tc.ring}
+				c := testCluster(t, Config{Shards: 2, Replicas: 1, Session: cfg})
+				pts := pointset.Generate(pointset.KindUniform, tc.nodes, seed[0])
+				s, err := c.Create(context.Background(), "acme", pts, session.BuildSpec{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The reference mints the same id: the shard's prefix, first
+				// sequence number.
+				cfg.IDPrefix = s.ID[:strings.Index(s.ID, "-")+1]
+				ref := session.NewRegistry(cfg)
+				t.Cleanup(ref.Close)
+				want, err := ref.Create(context.Background(), "acme", pts, session.BuildSpec{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed[1]))
+				applyBoth(t, s, want, rng, tc.events, tc.mixed)
+				waitCaughtUp(t, firstMirror(t, c, s.ID))
+				requireReplicaReads(t, c, s)
 
+				c.mu.RLock()
+				victim := c.routes[s.ID].primary
+				c.mu.RUnlock()
+				if rb, err := c.Kill(victim); err != nil || rb.Moved != 1 {
+					t.Fatalf("Kill(%d): %+v, %v", victim, rb, err)
+				}
+				promoted, err := c.Get("acme", s.ID)
+				if err != nil {
+					t.Fatalf("promoted session: %v", err)
+				}
+				requireSameReads(t, want, promoted, "promoted")
+				applyBoth(t, promoted, want, rng, 20, tc.mixed)
+				requireSameReads(t, want, promoted, "promoted after churn")
+			}
+		})
+	}
+}
+
+// applyBoth applies count events drawn from rng to a and b, requiring the
+// same echo from both. Mixed streams are one fifth joins, one fifth leaves
+// and the rest moves; otherwise all moves.
+func applyBoth(t *testing.T, a, b *session.Session, rng *rand.Rand, count int, mixed bool) {
+	t.Helper()
+	ctx := context.Background()
+	n := liveN(t, a)
+	for i := 0; i < count; i++ {
+		ev := session.Event{Op: "move", Node: rng.Intn(n), X: rng.Float64(), Y: rng.Float64()}
+		if mixed {
+			switch rng.Intn(5) {
+			case 0:
+				ev = session.Event{Op: "join", X: ev.X, Y: ev.Y}
+			case 1:
+				ev = session.Event{Op: "leave", Node: ev.Node}
+			}
+		}
+		ra, err := a.Apply(ctx, ev)
+		if err != nil || ra.Err != "" {
+			t.Fatalf("apply %d (%+v): %v / %s", i, ev, err, ra.Err)
+		}
+		rb, err := b.Apply(ctx, ev)
+		if err != nil || rb.Gen != ra.Gen || rb.N != ra.N || rb.Err != "" {
+			t.Fatalf("reference apply %d (%+v): %+v vs %+v, %v", i, ev, rb, ra, err)
+		}
+		n = ra.N
+	}
+}
+
+func liveN(t *testing.T, s *session.Session) int {
+	t.Helper()
+	st, err := s.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.N
+}
+
+// requireReplicaReads asserts that the cluster serves s from a replica with
+// the primary's exact bytes at every cursor class.
+func requireReplicaReads(t *testing.T, c *Cluster, s *session.Session) {
+	t.Helper()
+	ctx := context.Background()
 	gen, err := s.Gen(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +211,7 @@ func TestReplicaReadEquivalence(t *testing.T) {
 			t.Fatalf("primary EncodeSince(%d): %v", since, err)
 		}
 		var got bytes.Buffer
-		o, g, source, err := c.EncodeSince(ctx, "acme", s.ID, since, &got)
+		o, g, source, err := c.EncodeSince(ctx, s.Tenant, s.ID, since, &got)
 		if err != nil {
 			t.Fatalf("cluster EncodeSince(%d): %v", since, err)
 		}
@@ -132,6 +221,30 @@ func TestReplicaReadEquivalence(t *testing.T) {
 		if o != wo || g != wg || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("since=%d replica diverged from primary:\nprimary (%v, %d): %s\nreplica (%v, %d): %s",
 				since, wo, wg, want.Bytes(), o, g, got.Bytes())
+		}
+	}
+}
+
+// requireSameReads asserts that a and b serve byte-identical responses for
+// every probed cursor: current (304), one and several generations behind
+// (deltas), both sides of a 64-record ring's edge, and no cursor at all.
+func requireSameReads(t *testing.T, a, b *session.Session, label string) {
+	t.Helper()
+	ctx := context.Background()
+	gen, err := a.Gen(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, since := range []int64{-1, gen, gen - 1, gen - 5, gen - 63, gen - 64, gen - 65, 0} {
+		var ab, bb bytes.Buffer
+		ao, ag, aerr := a.EncodeSince(ctx, since, &ab)
+		bo, bg, berr := b.EncodeSince(ctx, since, &bb)
+		if aerr != nil || berr != nil {
+			t.Fatalf("%s: since=%d: %v / %v", label, since, aerr, berr)
+		}
+		if ao != bo || ag != bg || !bytes.Equal(ab.Bytes(), bb.Bytes()) {
+			t.Fatalf("%s: since=%d diverged:\nreference (%v, %d): %s\npromoted (%v, %d): %s",
+				label, since, ao, ag, ab.Bytes(), bo, bg, bb.Bytes())
 		}
 	}
 }

@@ -79,33 +79,19 @@ func (cp *Checkpoint) Validate() error {
 	return nil
 }
 
+// Positions returns the checkpointed points as geometry.
+func (cp *Checkpoint) Positions() []geom.Point {
+	pts := make([]geom.Point, len(cp.Points))
+	for i, p := range cp.Points {
+		pts[i] = geom.Pt(p[0], p[1])
+	}
+	return pts
+}
+
 // checkpointLocked captures the session state. Loop goroutine only.
 func (s *Session) checkpointLocked() *Checkpoint {
 	t := s.dyn.Topology()
-	pts := s.dyn.Points()
-	points := make([][2]float64, len(pts))
-	for i, p := range pts {
-		points[i] = [2]float64{p.X, p.Y}
-	}
-	es := t.N.Edges()
-	edges := make([][2]int, len(es))
-	for i, e := range es {
-		edges[i] = [2]int{e.U, e.V}
-	}
-	var ring []DeltaRecord
-	if s.live > 0 {
-		ring = s.records(s.gen - int64(s.live))
-	}
-	return &Checkpoint{
-		ID:     s.ID,
-		Tenant: s.Tenant,
-		Theta:  t.Cfg.Theta,
-		Range:  t.Cfg.Range,
-		Gen:    s.gen,
-		Points: points,
-		Edges:  edges,
-		Ring:   ring,
-	}
+	return s.feed.Checkpoint(s.Tenant, t.Cfg.Theta, t.Cfg.Range, s.dyn.Points(), t.N)
 }
 
 // Checkpoint serializes the session on its loop goroutine: the captured
@@ -145,11 +131,7 @@ func (r *Registry) Restore(ctx context.Context, cp *Checkpoint) (*Session, error
 	if err := r.reserveSlot(cp.Tenant, cp.ID); err != nil {
 		return nil, err
 	}
-	pts := make([]geom.Point, len(cp.Points))
-	for i, p := range cp.Points {
-		pts[i] = geom.Pt(p[0], p[1])
-	}
-	top, err := r.build(ctx, cp.Tenant, pts, topology.Config{Theta: cp.Theta, Range: cp.Range, Telemetry: r.cfg.Telemetry})
+	top, err := r.build(ctx, cp.Tenant, cp.Positions(), topology.Config{Theta: cp.Theta, Range: cp.Range, Telemetry: r.cfg.Telemetry})
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +139,10 @@ func (r *Registry) Restore(ctx context.Context, cp *Checkpoint) (*Session, error
 		r.release(cp.Tenant)
 		return nil, err
 	}
-	s := newSession(cp.ID, cp.Tenant, topology.NewDynamicFrom(top), r.cfg.DeltaRing, r.cfg.MaxNodes, r.cfg.Telemetry)
-	// The loop has not started yet, so the loop-owned fields are safe to
-	// seed directly: the generation carries over, and the ring keeps the
-	// newest records it can hold so delta readers survive the move.
-	s.gen = cp.Gen
-	recs := cp.Ring
-	if len(recs) > len(s.ring) {
-		recs = recs[len(recs)-len(s.ring):]
-	}
-	s.live = copy(s.ring, recs)
+	// The generation carries over, and the ring keeps the newest records it
+	// can hold, so delta readers survive the move.
+	feed := NewFeed(cp.ID, cp.Gen, r.cfg.DeltaRing, cp.Ring)
+	s := newSession(cp.Tenant, topology.NewDynamicFrom(top), feed, r.cfg.MaxNodes, r.cfg.Telemetry)
 	if err := r.host(s, "session.restored"); err != nil {
 		return nil, err
 	}

@@ -188,7 +188,7 @@ func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, 
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(id, tenant, topology.NewDynamicFrom(top), r.cfg.DeltaRing, r.cfg.MaxNodes, r.cfg.Telemetry)
+	s := newSession(tenant, topology.NewDynamicFrom(top), NewFeed(id, 0, r.cfg.DeltaRing, nil), r.cfg.MaxNodes, r.cfg.Telemetry)
 	if err := r.host(s, "session.created"); err != nil {
 		return nil, err
 	}
@@ -287,10 +287,25 @@ func (r *Registry) reserveLocked(tenant string) error {
 
 func (r *Registry) release(tenant string) {
 	r.mu.Lock()
-	if ts, ok := r.tenants[tenant]; ok && ts.sessions > 0 {
+	r.releaseLocked(tenant)
+	r.mu.Unlock()
+}
+
+// releaseLocked gives back one of tenant's session slots and forgets the
+// tenant once it is idle: no session and a full token bucket, the exact
+// state a first touch would recreate, so dropping it resets no quota.
+// Caller holds r.mu.
+func (r *Registry) releaseLocked(tenant string) {
+	ts, ok := r.tenants[tenant]
+	if !ok {
+		return
+	}
+	if ts.sessions > 0 {
 		ts.sessions--
 	}
-	r.mu.Unlock()
+	if ts.sessions == 0 && ts.bucket.full(r.now()) {
+		delete(r.tenants, tenant)
+	}
 }
 
 // tenant returns the tenant's state, creating it on first touch. Caller
@@ -337,9 +352,7 @@ func (r *Registry) Delete(tenant, id string) error {
 		return ErrNotFound
 	}
 	delete(r.sessions, id)
-	if ts, ok := r.tenants[tenant]; ok && ts.sessions > 0 {
-		ts.sessions--
-	}
+	r.releaseLocked(tenant)
 	live := len(r.sessions)
 	r.mu.Unlock()
 	s.Close()
@@ -414,32 +427,46 @@ func (r *Registry) sweep(interval time.Duration) {
 			return
 		case <-tick.C:
 		}
-		cutoff := time.Now().Add(-r.cfg.IdleTTL)
-		var evict []*Session
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
+		if !r.sweepOnce(time.Now().Add(-r.cfg.IdleTTL)) {
 			return
 		}
-		for id, s := range r.sessions {
-			if s.IdleSince().Before(cutoff) {
-				delete(r.sessions, id)
-				if ts, ok := r.tenants[s.Tenant]; ok && ts.sessions > 0 {
-					ts.sessions--
-				}
-				evict = append(evict, s)
-			}
-		}
-		live := len(r.sessions)
+	}
+}
+
+// sweepOnce evicts the sessions idle since before cutoff and drops every
+// tenant left idle (see releaseLocked), including tenants whose bucket was
+// still refilling when their last session went. It reports false once the
+// registry is closed.
+func (r *Registry) sweepOnce(cutoff time.Time) bool {
+	var evict []*Session
+	r.mu.Lock()
+	if r.closed {
 		r.mu.Unlock()
-		for _, s := range evict {
-			s.Close()
-		}
-		if tel := r.cfg.Telemetry; tel.Enabled() && len(evict) > 0 {
-			tel.Gauge("session.live").Set(float64(live))
-			tel.Counter("session.evicted").Add(int64(len(evict)))
+		return false
+	}
+	for id, s := range r.sessions {
+		if s.IdleSince().Before(cutoff) {
+			delete(r.sessions, id)
+			r.releaseLocked(s.Tenant)
+			evict = append(evict, s)
 		}
 	}
+	now := r.now()
+	for name, ts := range r.tenants {
+		if ts.sessions == 0 && ts.bucket.full(now) {
+			delete(r.tenants, name)
+		}
+	}
+	live := len(r.sessions)
+	r.mu.Unlock()
+	for _, s := range evict {
+		s.Close()
+	}
+	if tel := r.cfg.Telemetry; tel.Enabled() && len(evict) > 0 {
+		tel.Gauge("session.live").Set(float64(live))
+		tel.Counter("session.evicted").Add(int64(len(evict)))
+	}
+	return true
 }
 
 // Close drains the registry: no new sessions or lookups, every hosted
@@ -485,6 +512,15 @@ type tokenBucket struct {
 	last   time.Duration
 	rate   float64
 	burst  float64
+}
+
+// full reports whether the bucket holds burst tokens at now.
+func (b *tokenBucket) full(now time.Duration) bool {
+	tokens := b.tokens
+	if now > b.last {
+		tokens += (now - b.last).Seconds() * b.rate
+	}
+	return tokens >= b.burst
 }
 
 func (b *tokenBucket) take(now time.Duration) time.Duration {

@@ -23,7 +23,6 @@ package session
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -147,35 +146,21 @@ type Session struct {
 	lastActive atomic.Int64
 
 	// Loop-owned state.
-	dyn    *topology.Dynamic
-	rec    recorder
-	gen    int64
-	ring   []DeltaRecord // circular: ring[(head+i)%len] is the i-th oldest
-	head   int
-	live   int
-	subs   map[int]*subscriber
-	subSeq int
+	dyn  *topology.Dynamic
+	rec  recorder
+	feed *Feed // generation, delta ring, watchers
 	// repl, when set (see Rewire), receives every delta record on the loop
 	// goroutine before the apply is acknowledged — the cluster layer's
 	// synchronous replication hook. It must not block.
 	repl func(DeltaRecord)
-
-	// Encoding scratch, loop-owned: snapshots reuse these instead of
-	// allocating per GET, which matters because a full snapshot is the
-	// delta path's fallback under hot polling.
-	scratchPts   [][2]float64
-	scratchEdges [][2]int
 }
 
-type subscriber struct {
-	ch chan DeltaRecord
-}
-
-// newSession wraps an already-built dynamic topology. The registry starts
-// the loop; the session does not know about quotas or peers.
-func newSession(id, tenant string, dyn *topology.Dynamic, ringSize, maxNodes int, tel *telemetry.Telemetry) *Session {
+// newSession wraps an already-built dynamic topology and the feed it
+// publishes to. The registry starts the loop; the session does not know
+// about quotas or peers.
+func newSession(tenant string, dyn *topology.Dynamic, feed *Feed, maxNodes int, tel *telemetry.Telemetry) *Session {
 	s := &Session{
-		ID:       id,
+		ID:       feed.id,
 		Tenant:   tenant,
 		Created:  time.Now(),
 		maxNodes: maxNodes,
@@ -188,8 +173,7 @@ func newSession(id, tenant string, dyn *topology.Dynamic, ringSize, maxNodes int
 		closed:   make(chan struct{}),
 		loopDone: make(chan struct{}),
 		dyn:      dyn,
-		ring:     make([]DeltaRecord, ringSize),
-		subs:     make(map[int]*subscriber),
+		feed:     feed,
 	}
 	s.rec.reset()
 	dyn.SetEdgeObserver(&s.rec)
@@ -216,10 +200,7 @@ func (s *Session) loop() {
 		case f := <-s.cmds:
 			f()
 		case <-s.closed:
-			for _, sub := range s.subs {
-				close(sub.ch)
-			}
-			s.subs = nil
+			s.feed.Close()
 			return
 		}
 	}
@@ -269,7 +250,7 @@ func (s *Session) Apply(ctx context.Context, ev Event) (ApplyResult, error) {
 
 // apply validates and applies one event on the loop, recording its delta.
 func (s *Session) apply(ev Event) ApplyResult {
-	res := ApplyResult{Op: ev.Op, Node: ev.Node, Gen: s.gen, N: s.dyn.N()}
+	res := ApplyResult{Op: ev.Op, Node: ev.Node, Gen: s.feed.gen, N: s.dyn.N()}
 	var tev topology.Event
 	switch ev.Op {
 	case "join":
@@ -330,10 +311,9 @@ func (s *Session) apply(ev Event) ApplyResult {
 	if ev.Op == "join" {
 		res.Node = st.N - 1 // the joined node took the next dense id
 	}
-	s.gen++
-	res.Gen = s.gen
+	res.Gen = s.feed.gen + 1
 	record := DeltaRecord{
-		Gen:          s.gen,
+		Gen:          res.Gen,
 		Op:           ev.Op,
 		Node:         res.Node,
 		X:            ev.X,
@@ -342,7 +322,6 @@ func (s *Session) apply(ev Event) ApplyResult {
 		EdgesRemoved: s.rec.sortedRemoved(),
 		Touched:      st.Touched,
 	}
-	s.push(record)
 	if s.repl != nil {
 		// Ack-ordered replication: the record reaches every replica's log
 		// before the client sees this generation acknowledged, so a
@@ -350,36 +329,10 @@ func (s *Session) apply(ev Event) ApplyResult {
 		// don't hold.
 		s.repl(record)
 	}
-	for id, sub := range s.subs {
-		select {
-		case sub.ch <- record:
-		default:
-			// The watcher is not draining; dropping records would desync
-			// its mirror, so disconnect it instead — the closed channel
-			// tells it to fall back to a full snapshot.
-			close(sub.ch)
-			delete(s.subs, id)
-		}
-	}
+	s.feed.Publish(record)
 	s.cEvents.Inc()
 	s.hTouched.Observe(float64(st.Touched))
 	return res
-}
-
-// push appends one record to the delta ring, overwriting the oldest once
-// the ring is full. The ring always holds the newest `live` generations
-// (s.gen-live, s.gen].
-func (s *Session) push(r DeltaRecord) {
-	if len(s.ring) == 0 {
-		return
-	}
-	if s.live < len(s.ring) {
-		s.ring[(s.head+s.live)%len(s.ring)] = r
-		s.live++
-		return
-	}
-	s.ring[s.head] = r
-	s.head = (s.head + 1) % len(s.ring)
 }
 
 // EncodeSince writes the response for a conditional read into buf on the
@@ -395,19 +348,8 @@ func (s *Session) EncodeSince(ctx context.Context, since int64, buf *bytes.Buffe
 		encErr  error
 	)
 	err := s.do(ctx, func() {
-		gen = s.gen
-		switch {
-		case since == s.gen:
-			outcome = NotModified
-		case since >= 0 && since < s.gen && s.gen-since <= int64(s.live):
-			outcome = DeltaServed
-			d := Delta{ID: s.ID, FromGen: since, Gen: s.gen, Records: s.records(since)}
-			encErr = json.NewEncoder(buf).Encode(&d)
-		default:
-			outcome = FullServed
-			snap := s.snapshot()
-			encErr = json.NewEncoder(buf).Encode(&snap)
-		}
+		gen = s.feed.gen
+		outcome, encErr = s.feed.EncodeSince(since, buf, s.dyn.Points(), s.dyn.Topology().N)
 	})
 	if err != nil {
 		return FullServed, 0, err
@@ -418,57 +360,8 @@ func (s *Session) EncodeSince(ctx context.Context, since int64, buf *bytes.Buffe
 
 // EncodeSnapshot writes the full snapshot into buf unconditionally.
 func (s *Session) EncodeSnapshot(ctx context.Context, buf *bytes.Buffer) (int64, error) {
-	var (
-		gen    int64
-		encErr error
-	)
-	err := s.do(ctx, func() {
-		gen = s.gen
-		snap := s.snapshot()
-		encErr = json.NewEncoder(buf).Encode(&snap)
-	})
-	if err != nil {
-		return 0, err
-	}
-	s.touch()
-	return gen, encErr
-}
-
-// records collects the ring entries with generation > since, oldest first.
-// Only called when the ring covers them.
-func (s *Session) records(since int64) []DeltaRecord {
-	n := int(s.gen - since)
-	out := make([]DeltaRecord, 0, n)
-	for i := s.live - n; i < s.live; i++ {
-		out = append(out, s.ring[(s.head+i)%len(s.ring)])
-	}
-	return out
-}
-
-// snapshot materializes the loop-owned state into the wire shape, reusing
-// the session's scratch slices (safe: the caller encodes inside the same
-// closure, before the next apply can touch them).
-func (s *Session) snapshot() Snapshot {
-	pts := s.dyn.Points()
-	s.scratchPts = s.scratchPts[:0]
-	for _, p := range pts {
-		s.scratchPts = append(s.scratchPts, [2]float64{p.X, p.Y})
-	}
-	g := s.dyn.Topology().N
-	s.scratchEdges = s.scratchEdges[:0]
-	for _, e := range g.Edges() {
-		s.scratchEdges = append(s.scratchEdges, [2]int{e.U, e.V})
-	}
-	return Snapshot{
-		ID:        s.ID,
-		Gen:       s.gen,
-		N:         len(pts),
-		NumEdges:  g.NumEdges(),
-		MaxDegree: g.MaxDegree(),
-		Connected: g.Connected(),
-		Points:    s.scratchPts,
-		Edges:     s.scratchEdges,
-	}
+	_, gen, err := s.EncodeSince(ctx, -1, buf)
+	return gen, err
 }
 
 // Stats is the lightweight header of a session: the current generation
@@ -489,7 +382,7 @@ func (s *Session) Stats(ctx context.Context) (Stats, error) {
 		g := s.dyn.Topology().N
 		st = Stats{
 			ID:        s.ID,
-			Gen:       s.gen,
+			Gen:       s.feed.gen,
 			N:         s.dyn.N(),
 			NumEdges:  g.NumEdges(),
 			MaxDegree: g.MaxDegree(),
@@ -506,7 +399,7 @@ func (s *Session) Stats(ctx context.Context) (Stats, error) {
 // Gen returns the current generation.
 func (s *Session) Gen(ctx context.Context) (int64, error) {
 	var g int64
-	err := s.do(ctx, func() { g = s.gen })
+	err := s.do(ctx, func() { g = s.feed.gen })
 	return g, err
 }
 
@@ -517,32 +410,21 @@ func (s *Session) Gen(ctx context.Context) (int64, error) {
 // to unsubscribe; the channel is closed either way when the session
 // closes.
 func (s *Session) Subscribe(ctx context.Context, buffer int) (<-chan DeltaRecord, int64, func(), error) {
-	if buffer < 1 {
-		buffer = 64
-	}
 	var (
-		ch  chan DeltaRecord
+		ch  <-chan DeltaRecord
 		gen int64
 		id  int
 	)
 	err := s.do(ctx, func() {
-		ch = make(chan DeltaRecord, buffer)
-		s.subSeq++
-		id = s.subSeq
-		s.subs[id] = &subscriber{ch: ch}
-		gen = s.gen
+		ch, id = s.feed.Subscribe(buffer)
+		gen = s.feed.gen
 	})
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	s.touch()
 	cancel := func() {
-		_ = s.do(context.Background(), func() {
-			if sub, ok := s.subs[id]; ok {
-				close(sub.ch)
-				delete(s.subs, id)
-			}
-		})
+		_ = s.do(context.Background(), func() { s.feed.Unsubscribe(id) })
 	}
 	return ch, gen, cancel, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -504,6 +505,109 @@ func TestBuildModesProduceWorkingSessions(t *testing.T) {
 		}
 		if err := r.Delete("t", s.ID); err != nil {
 			t.Fatalf("n=%d: delete: %v", n, err)
+		}
+	}
+}
+
+// TestIdleTenantsAreForgotten pins that tenant state does not grow with the
+// number of distinct tenants: a tenant with no session is dropped once its
+// token bucket is full again (at release, or on a later sweep), while a
+// tenant that still holds a session, or whose bucket is still refilling,
+// keeps its drained bucket, so no quota is ever reset.
+func TestIdleTenantsAreForgotten(t *testing.T) {
+	r := testRegistry(t, Config{EventRate: 10, EventBurst: 2})
+	var now time.Duration
+	r.now = func() time.Duration { return now }
+	ctx := context.Background()
+	pts := pointset.Generate(pointset.KindUniform, 6, 1)
+	drained := func(tenant string) bool {
+		wait, err := r.AdmitEvents(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wait > 0
+	}
+
+	keeper, err := r.Create(ctx, "keeper", pts, BuildSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !drained("keeper") {
+	}
+	const tenants = 2000
+	for i := 0; i < tenants; i++ {
+		tn := fmt.Sprintf("tenant-%d", i)
+		s, err := r.Create(ctx, tn, pts, BuildSpec{})
+		if err != nil {
+			t.Fatalf("%s: %v", tn, err)
+		}
+		if drained(tn) {
+			t.Fatalf("%s: fresh bucket empty", tn)
+		}
+		if res, err := s.Apply(ctx, Event{Op: "move", Node: 0, X: 0.5, Y: 0.5 + float64(i)*1e-6}); err != nil || res.Err != "" {
+			t.Fatalf("%s move: %v / %s", tn, err, res.Err)
+		}
+		if i%2 == 0 {
+			now += time.Second // the bucket refills before the delete
+		}
+		if err := r.Delete(tn, s.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.mu.Lock()
+	left := len(r.tenants)
+	r.mu.Unlock()
+	if left != 1+tenants/2 {
+		t.Fatalf("after deletes: %d tenants kept, want %d (keeper + the still-refilling half)", left, 1+tenants/2)
+	}
+
+	now += time.Second
+	for !drained("keeper") {
+	}
+	r.sweepOnce(time.Time{})
+	r.mu.Lock()
+	_, kept := r.tenants["keeper"]
+	left = len(r.tenants)
+	r.mu.Unlock()
+	if !kept || left != 1 {
+		t.Fatalf("after sweep: %d tenants (keeper kept: %v), want only the keeper", left, kept)
+	}
+	if !drained("keeper") {
+		t.Fatal("sweep reset the drained bucket of a tenant with a session")
+	}
+	if err := r.Delete("keeper", keeper.ID); err != nil {
+		t.Fatal(err)
+	}
+	if !drained("keeper") {
+		t.Fatal("deleting the last session reset a drained bucket")
+	}
+	now += time.Second
+	r.sweepOnce(time.Time{})
+	r.mu.Lock()
+	left = len(r.tenants)
+	r.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("after the last sweep: %d tenants, want 0", left)
+	}
+}
+
+// TestEdgelessSnapshotEncodesEmptyList pins that a session whose range
+// admits no edge encodes "edges":[] on every snapshot, the first one
+// included: the mirrors always did, and a reader diffing the two must not
+// see null on one side.
+func TestEdgelessSnapshotEncodesEmptyList(t *testing.T) {
+	r := testRegistry(t, Config{})
+	s, err := r.Create(context.Background(), "t", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, BuildSpec{Range: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		var buf bytes.Buffer
+		if _, err := s.EncodeSnapshot(context.Background(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(buf.Bytes(), []byte(`"edges":[]`)) {
+			t.Fatalf("snapshot %d: %s", i, buf.Bytes())
 		}
 	}
 }
