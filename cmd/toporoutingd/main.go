@@ -13,7 +13,7 @@
 //	             [-log text|json|off] [-trace-slow 32] [-trace-sample 64]
 //	             [-max-sessions 256] [-max-tenant-sessions 8]
 //	             [-session-rate 1000] [-session-ring 256] [-session-ttl 10m]
-//	             [-shards 1] [-replicas 0] [-staleness-gens 64]
+//	             [-shards 1] [-replicas 0]
 //
 // Endpoints:
 //
@@ -40,12 +40,11 @@
 // Retry-After.
 //
 // With -shards > 1 the session layer runs sharded: tenants map to registry
-// shards by consistent hashing, -replicas read replicas per session tail
-// each delta stream by generation cursor (serving conditional GETs and
-// watches while within -staleness-gens of the acked stream; the
-// X-Session-Source response header reports which side answered), and a
-// dead shard's sessions fail over from their replica logs with zero acked
-// events lost. GET /debug/cluster reports placement; POST
+// shards by consistent hashing, -replicas read replicas per session apply
+// each delta record before the primary acks it (so they serve conditional
+// GETs and watches at the acked generation; the X-Session-Source response
+// header reports which side answered), and a dead shard's sessions fail
+// over from their mirrors with zero acked events lost. GET /debug/cluster reports placement; POST
 // /debug/cluster/kill?shard=N hard-stops a shard (fault injection — the
 // in-process equivalent of SIGKILLing its host).
 //
@@ -140,7 +139,6 @@ func run() error {
 		sessionTTL        = flag.Duration("session-ttl", 10*time.Minute, "evict sessions idle this long (negative = never)")
 		shards            = flag.Int("shards", 1, "session registry shards (tenants map by consistent hashing)")
 		replicas          = flag.Int("replicas", 0, "read replicas per hosted session (clamped to shards-1)")
-		stalenessGens     = flag.Int("staleness-gens", 64, "replica read staleness budget in generations")
 	)
 	flag.Parse()
 	if os.Getenv("GOGC") == "" {
@@ -207,9 +205,8 @@ func run() error {
 			DeltaRing:            *sessionRing,
 			IdleTTL:              *sessionTTL,
 		},
-		Shards:               *shards,
-		Replicas:             *replicas,
-		ReplicaStalenessGens: *stalenessGens,
+		Shards:   *shards,
+		Replicas: *replicas,
 	})
 
 	httpSrv := &http.Server{

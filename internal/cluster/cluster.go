@@ -1,3 +1,17 @@
+// Package cluster shards the hosted-session layer across N registry
+// instances — in-process shards behind the same interfaces a networked
+// deployment would use. Tenants map to shards by consistent hashing with
+// a configurable replication factor: the shard primary owns writes, read
+// replicas apply each delta record inside the primary's apply, before the
+// ack, and a checkpoint (snapshot + delta ring + generation) rehosts a
+// session after a crash or rebalance. This is the paper's locality
+// discipline applied to serving: a session's full replication state is
+// its bounded delta window, so moving or re-replicating one costs
+// O(session), never O(cluster).
+//
+// Concurrency is three kinds of mutex, always taken in this order:
+// Cluster.mu (placement), a session's lock, a replica's lock. Neither a
+// session nor a mirror runs a goroutine.
 package cluster
 
 import (
@@ -22,10 +36,6 @@ type Config struct {
 	// Replicas is the read-replica count per hosted session, clamped to
 	// Shards-1 (replicas never share a shard with their primary).
 	Replicas int
-	// StalenessBudget bounds how many generations a replica read may lag
-	// behind the acked stream before the read falls back to the primary;
-	// 0 selects 64.
-	StalenessBudget int
 	// Session configures every shard's registry. Telemetry rides inside it.
 	Session session.Config
 }
@@ -40,9 +50,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas > c.Shards-1 {
 		c.Replicas = c.Shards - 1
 	}
-	if c.StalenessBudget <= 0 {
-		c.StalenessBudget = 64
-	}
 	return c
 }
 
@@ -56,7 +63,7 @@ type shard struct {
 }
 
 // route is the placement record of one hosted session: which shard owns
-// writes, and the mirrors serving stale-bounded reads.
+// writes, and the mirrors serving reads.
 type route struct {
 	tenant  string
 	primary int
@@ -64,8 +71,10 @@ type route struct {
 }
 
 // Cluster is the sharded session layer: tenant-consistent-hash placement,
-// write routing to shard primaries, stale-bounded replica reads, and
-// checkpoint-based failover when a shard dies.
+// write routing to shard primaries, replica reads, and checkpoint-based
+// failover when a shard dies. A mirror applies each record inside its
+// primary's apply, so a replica read always sees every acknowledged
+// write, and hosting a session or a mirror starts no goroutine.
 type Cluster struct {
 	cfg      Config
 	ringSize int // resolved per-session delta-ring size for mirrors
@@ -78,8 +87,7 @@ type Cluster struct {
 
 	tel *telemetry.Telemetry
 	// Read-path instruments, each resolved on first use.
-	readsReplica, readsPrimary, fallbacks telemetry.Lazy[telemetry.Counter]
-	lagGens                               telemetry.Lazy[telemetry.BucketHistogram]
+	readsReplica, readsPrimary telemetry.Lazy[telemetry.Counter]
 }
 
 // checkpointByteBuckets sizes the checkpoint_bytes histogram: serialized
@@ -162,7 +170,8 @@ func (c *Cluster) Create(ctx context.Context, tenant string, pts []geom.Point, s
 
 // attachLocked wires a session's replica set: one mirror on each of the
 // next Replicas alive ring owners after the primary, initialized from a
-// loop-atomic checkpoint so no record is lost between capture and hookup.
+// checkpoint taken under the session lock together with the hookup, so no
+// record is lost between capture and hookup.
 // Caller holds c.mu.
 func (c *Cluster) attachLocked(s *session.Session, tenant string, primary int) error {
 	var mirrors []*replica
@@ -268,29 +277,23 @@ func closeAll(mirrors []*replica) {
 	}
 }
 
-// EncodeSince serves a conditional read, preferring an alive replica
-// within the staleness budget and falling back to the primary otherwise.
-// source reports which served ("replica" or "primary").
+// EncodeSince serves a conditional read, preferring an alive replica and
+// falling back to the primary otherwise. source reports which served
+// ("replica" or "primary").
 func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int64, buf *bytes.Buffer) (outcome session.GetOutcome, gen int64, source string, err error) {
 	rt, s, err := c.primary(tenant, id)
 	if err != nil {
 		return session.FullServed, 0, "", err
 	}
 	if m := c.pickReplica(rt); m != nil {
-		if out, g, lag, ok := m.tryEncodeSince(since, int64(c.cfg.StalenessBudget), buf); ok {
+		if out, g, ok := m.tryEncodeSince(since, buf); ok {
 			s.Touch()
 			if c.tel.Enabled() {
 				c.readsReplica.Get(func() *telemetry.Counter {
 					return c.tel.Counter(telemetry.LabeledName("cluster.reads", "source", "replica"))
 				}).Inc()
-				c.lagGens.Get(func() *telemetry.BucketHistogram {
-					return c.tel.BucketHistogram("cluster.replica_lag_gens", telemetry.DefCountBuckets)
-				}).Observe(float64(lag))
 			}
 			return out, g, "replica", nil
-		}
-		if c.tel.Enabled() {
-			c.fallbacks.Get(func() *telemetry.Counter { return c.tel.Counter("cluster.replica_fallbacks") }).Inc()
 		}
 	}
 	out, g, err := s.EncodeSince(ctx, since, buf)
@@ -302,15 +305,15 @@ func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int6
 	return out, g, "primary", err
 }
 
-// Subscribe attaches a watch, served from a stale-bounded replica when one
-// is available (its tailer pushes the same records the primary would),
-// falling back to the primary session.
+// Subscribe attaches a watch, served from a replica when one is available
+// (its applies push the same records the primary would), falling back to
+// the primary session.
 func (c *Cluster) Subscribe(ctx context.Context, tenant, id string, buffer int) (<-chan session.DeltaRecord, int64, func(), string, error) {
 	rt, s, err := c.primary(tenant, id)
 	if err != nil {
 		return nil, 0, nil, "", err
 	}
-	if m := c.pickReplica(rt); m != nil && m.lag() <= int64(c.cfg.StalenessBudget) {
+	if m := c.pickReplica(rt); m != nil {
 		if ch, gen, cancel, ok := m.subscribe(buffer); ok {
 			s.Touch()
 			return ch, gen, cancel, "replica", nil
@@ -387,21 +390,16 @@ type ShardStatus struct {
 
 // Status is the /debug/cluster payload.
 type Status struct {
-	Shards          []ShardStatus `json:"shards"`
-	Replicas        int           `json:"replicas"`
-	StalenessBudget int           `json:"staleness_budget"`
-	Sessions        int           `json:"sessions"`
+	Shards   []ShardStatus `json:"shards"`
+	Replicas int           `json:"replicas"`
+	Sessions int           `json:"sessions"`
 }
 
 // Status reports shard liveness and session placement.
 func (c *Cluster) Status() Status {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	st := Status{
-		Replicas:        c.cfg.Replicas,
-		StalenessBudget: c.cfg.StalenessBudget,
-		Sessions:        len(c.routes),
-	}
+	st := Status{Replicas: c.cfg.Replicas, Sessions: len(c.routes)}
 	for _, sh := range c.shards {
 		row := ShardStatus{ID: sh.id, Alive: sh.alive, Mirrors: len(sh.mirrors)}
 		if sh.alive {
@@ -427,11 +425,12 @@ type RebalanceStats struct {
 
 // Kill hard-stops shard i — the in-process equivalent of SIGKILLing its
 // host. Nothing is flushed from the dying shard: recovery uses only the
-// replica logs, which the ack-ordered append already made durable, so an
-// acknowledged event can never be lost if the session had a replica. The
-// shard's primaries are promoted (replica checkpoint → serialize →
-// restore-by-rebuild on the new ring owner), and surviving primaries that
-// lost a mirror are re-replicated. The last alive shard cannot be killed.
+// mirrors, which the ack-ordered apply already brought to every
+// acknowledged generation, so an acknowledged event can never be lost if
+// the session had a replica. The shard's primaries are promoted (replica
+// checkpoint → serialize → restore-by-rebuild on the new ring owner), and
+// surviving primaries that lost a mirror are re-replicated. The last alive
+// shard cannot be killed.
 func (c *Cluster) Kill(i int) (RebalanceStats, error) {
 	st := RebalanceStats{Shard: i}
 	c.mu.Lock()
@@ -458,9 +457,9 @@ func (c *Cluster) Kill(i int) (RebalanceStats, error) {
 
 	sh.alive = false
 	c.ring = newRing(c.aliveIDsLocked())
-	// Stop the dead shard's loops before recovery so its sessions cannot
-	// ack further events: everything appended up to this point is in the
-	// replica logs, everything after the kill is refused.
+	// Close the dead shard's sessions before recovery so they cannot ack
+	// further events: everything acked up to this point is on the mirrors,
+	// everything after the kill is refused.
 	sh.reg.Close()
 	deadMirrors := sh.mirrors
 	sh.mirrors = make(map[string]*replica)
@@ -505,10 +504,9 @@ func (c *Cluster) routeLostMirrorLocked(rt *route, dead int) bool {
 }
 
 // promoteLocked fails a session over: checkpoint the first surviving
-// replica (draining its log — every acked generation), round-trip the
-// checkpoint through its serialized form (the same path a networked
-// deployment would take), restore on the new ring owner, and attach a
-// fresh mirror set.
+// replica (it holds every acked generation), round-trip the checkpoint
+// through its serialized form (the same path a networked deployment would
+// take), restore on the new ring owner, and attach a fresh mirror set.
 func (c *Cluster) promoteLocked(id string, rt *route, st *RebalanceStats) {
 	var src *replica
 	for _, m := range rt.mirrors {
@@ -564,9 +562,9 @@ func (c *Cluster) loseLocked(id string, rt *route, st *RebalanceStats) {
 }
 
 // rereplicateLocked rebuilds the mirror set of a session whose primary
-// survived but whose replica set lost a shard: a fresh loop-atomic
-// checkpoint seeds the new mirrors (dead ones are simply discarded — the
-// Kill path closes them).
+// survived but whose replica set lost a shard: a fresh checkpoint, taken
+// under the session lock, seeds the new mirrors (dead ones are simply
+// discarded — the Kill path closes them).
 func (c *Cluster) rereplicateLocked(id string, rt *route, st *RebalanceStats) {
 	sh := c.shards[rt.primary]
 	s, err := sh.reg.Get(rt.tenant, id)

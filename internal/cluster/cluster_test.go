@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -49,17 +50,6 @@ func firstMirror(t testing.TB, c *Cluster, id string) *replica {
 		t.Fatalf("session %s has no mirrors", id)
 	}
 	return rt.mirrors[0]
-}
-
-func waitCaughtUp(t testing.TB, m *replica) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.lag() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never caught up (lag %d)", m.lag())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 func TestClusterCreateGetDeleteAcrossShards(t *testing.T) {
@@ -136,7 +126,6 @@ func TestReplicaReadEquivalence(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(seed[1]))
 				applyBoth(t, s, want, rng, tc.events, tc.mixed)
-				waitCaughtUp(t, firstMirror(t, c, s.ID))
 				requireReplicaReads(t, c, s)
 
 				c.mu.RLock()
@@ -157,23 +146,14 @@ func TestReplicaReadEquivalence(t *testing.T) {
 	}
 }
 
-// applyBoth applies count events drawn from rng to a and b, requiring the
-// same echo from both. Mixed streams are one fifth joins, one fifth leaves
-// and the rest moves; otherwise all moves.
+// applyBoth applies count events drawn from rng (see randomEvent) to a and
+// b, requiring the same echo from both.
 func applyBoth(t *testing.T, a, b *session.Session, rng *rand.Rand, count int, mixed bool) {
 	t.Helper()
 	ctx := context.Background()
 	n := liveN(t, a)
 	for i := 0; i < count; i++ {
-		ev := session.Event{Op: "move", Node: rng.Intn(n), X: rng.Float64(), Y: rng.Float64()}
-		if mixed {
-			switch rng.Intn(5) {
-			case 0:
-				ev = session.Event{Op: "join", X: ev.X, Y: ev.Y}
-			case 1:
-				ev = session.Event{Op: "leave", Node: ev.Node}
-			}
-		}
+		ev := randomEvent(rng, n, mixed)
 		ra, err := a.Apply(ctx, ev)
 		if err != nil || ra.Err != "" {
 			t.Fatalf("apply %d (%+v): %v / %s", i, ev, err, ra.Err)
@@ -184,6 +164,21 @@ func applyBoth(t *testing.T, a, b *session.Session, rng *rand.Rand, count int, m
 		}
 		n = ra.N
 	}
+}
+
+// randomEvent draws one event over n nodes: with mixed, one fifth joins,
+// one fifth leaves and the rest moves; otherwise a move.
+func randomEvent(rng *rand.Rand, n int, mixed bool) session.Event {
+	ev := session.Event{Op: "move", Node: rng.Intn(n), X: rng.Float64(), Y: rng.Float64()}
+	if mixed {
+		switch rng.Intn(5) {
+		case 0:
+			ev = session.Event{Op: "join", X: ev.X, Y: ev.Y}
+		case 1:
+			ev = session.Event{Op: "leave", Node: ev.Node}
+		}
+	}
+	return ev
 }
 
 func liveN(t *testing.T, s *session.Session) int {
@@ -249,35 +244,82 @@ func requireSameReads(t *testing.T, a, b *session.Session, label string) {
 	}
 }
 
-// TestReplicaStalenessFallback pins the budget: a mirror lagging past
-// StalenessBudget generations must not serve — the read falls back to the
-// primary — and resumes serving once it catches back up.
-func TestReplicaStalenessFallback(t *testing.T) {
-	c := testCluster(t, Config{Shards: 2, Replicas: 1, StalenessBudget: 4})
+// TestReplicaReadYourWrite pins synchronous replication: a read issued
+// right after Apply returns is served by the replica at exactly the acked
+// generation, for every event of a mixed stream. An Apply under a
+// cancelled context runs nothing: it returns context.Canceled and neither
+// the primary nor its mirror advances.
+func TestReplicaReadYourWrite(t *testing.T) {
+	c := testCluster(t, Config{Shards: 3, Replicas: 2})
 	s := clusterCreate(t, c, "acme", 60, 4)
 	ctx := context.Background()
-	m := firstMirror(t, c, s.ID)
-	m.setPaused(true)
-
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10; i++ {
-		if res, err := s.Apply(ctx, session.Event{Op: "move", Node: rng.Intn(60), X: rng.Float64(), Y: rng.Float64()}); err != nil || res.Err != "" {
-			t.Fatalf("apply %d: %v / %s", i, err, res.Err)
+	n := 60
+	var buf bytes.Buffer
+	for i := 0; i < 100; i++ {
+		ev := randomEvent(rng, n, true)
+		res, err := s.Apply(ctx, ev)
+		if err != nil || res.Err != "" {
+			t.Fatalf("apply %d (%+v): %v / %s", i, ev, err, res.Err)
+		}
+		n = res.N
+		buf.Reset()
+		out, gen, source, err := c.EncodeSince(ctx, "acme", s.ID, res.Gen-1, &buf)
+		if err != nil || source != "replica" || gen != res.Gen || out != session.DeltaServed {
+			t.Fatalf("read after apply %d: outcome %v gen %d source %q err %v, want a replica delta at gen %d",
+				i, out, gen, source, err, res.Gen)
 		}
 	}
-	if lag := m.lag(); lag != 10 {
-		t.Fatalf("paused mirror lag = %d, want 10", lag)
-	}
-	var buf bytes.Buffer
-	if _, _, source, err := c.EncodeSince(ctx, "acme", s.ID, -1, &buf); err != nil || source != "primary" {
-		t.Fatalf("stale read: source=%q err=%v, want primary fallback", source, err)
-	}
 
-	m.setPaused(false)
-	waitCaughtUp(t, m)
+	acked, err := s.Gen(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.Apply(cancelled, session.Event{Op: "join", X: 0.5, Y: 0.5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("apply under a cancelled ctx: %v, want context.Canceled", err)
+	}
+	if gen, err := s.Gen(ctx); err != nil || gen != acked {
+		t.Fatalf("primary at gen %d (%v) after a cancelled apply, want %d", gen, err, acked)
+	}
 	buf.Reset()
-	if _, _, source, err := c.EncodeSince(ctx, "acme", s.ID, -1, &buf); err != nil || source != "replica" {
-		t.Fatalf("caught-up read: source=%q err=%v, want replica", source, err)
+	if out, gen, source, err := c.EncodeSince(ctx, "acme", s.ID, acked, &buf); err != nil || source != "replica" || gen != acked || out != session.NotModified {
+		t.Fatalf("mirror read after a cancelled apply: outcome %v gen %d source %q err %v, want not-modified at %d", out, gen, source, err, acked)
+	}
+}
+
+// TestHostingStartsNoGoroutine pins that a session and its mirrors are
+// data, not threads: hosting 32 sessions with two mirrors each on four
+// shards and applying events to them leaves the goroutine count where it
+// was after New, and deleting them leaves it there too.
+func TestHostingStartsNoGoroutine(t *testing.T) {
+	const (
+		sessions = 32
+		slack    = 4 // unrelated runtime and test-framework goroutines
+	)
+	c := testCluster(t, Config{Shards: 4, Replicas: 2})
+	base := runtime.NumGoroutine()
+	ctx := context.Background()
+	handles := make([]*session.Session, sessions)
+	for i := range handles {
+		handles[i] = clusterCreate(t, c, fmt.Sprintf("tenant-%d", i), 40, int64(i))
+		for j := 0; j < 3; j++ {
+			if res, err := handles[i].Apply(ctx, session.Event{Op: "move", Node: j, X: 0.1 * float64(i%10), Y: 0.3 + 0.1*float64(j)}); err != nil || res.Err != "" {
+				t.Fatalf("session %d apply %d: %v / %s", i, j, err, res.Err)
+			}
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base+slack {
+		t.Fatalf("%d goroutines with %d sessions hosted, %d after New: hosting must start none", got, sessions, base)
+	}
+	for i, s := range handles {
+		if err := c.Delete(s.Tenant, s.ID); err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base+slack {
+		t.Fatalf("%d goroutines after every session was deleted, %d after New", got, base)
 	}
 }
 

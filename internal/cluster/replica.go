@@ -13,101 +13,63 @@ import (
 // the primary's state (positions and N-graph) plus its own session.Feed,
 // fed by the primary's replication hook.
 //
-// Replication is split into a synchronous log append and an asynchronous
-// apply. The primary's loop appends every delta record to the replica's
-// log *before* the event is acknowledged — so a hard-killed primary can
-// never have acked a generation its replicas don't hold — while a tailer
-// goroutine advances the mirror along the log by generation cursor. The
-// replica's lag is logGen minus the feed's generation: zero when caught
-// up, bounded by the cluster's staleness budget for reads, irrelevant for
-// durability (the log is already on the replica).
+// Replication is synchronous. The primary applies every delta record to
+// the mirror under the mirror's mutex, inside its own apply and before
+// the event is acknowledged, so a mirror always stands at the primary's
+// acked generation: a hard-killed primary can never have acked a
+// generation its replicas don't hold, and a read served by a mirror is
+// never behind a write its client saw acknowledged. Replaying a record is
+// a local edit of about a microsecond, so a mirror needs no goroutine.
+//
+// Lock order: Cluster.mu → session lock → replica.mu. Code holding
+// replica.mu takes neither of the others.
 type replica struct {
 	shard int // hosting shard id, for liveness checks and placement
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	tenant     string
 	theta, rng float64
 
-	logGen int64 // generation of the newest appended (acked) record
-	log    []session.DeltaRecord
-
 	pts  []geom.Point
 	g    *graph.Graph
-	feed *session.Feed // generation the mirror has applied up to, ring, watchers
+	feed *session.Feed // generation, ring, watchers
 
-	paused bool // test hook: the tailer holds off applying
 	closed bool
-	done   chan struct{} // closed when the tailer exits
 }
 
-// newReplica seeds a mirror from a checkpoint and starts its tailer. The
-// checkpoint must come from a Rewire capture (or a just-created session):
-// the first record appended afterwards has generation cp.Gen+1.
+// newReplica seeds a mirror from a checkpoint. The checkpoint must come
+// from a Rewire capture (or a just-created session): the first record
+// appended afterwards has generation cp.Gen+1.
 func newReplica(shard int, cp *session.Checkpoint, ringSize int) *replica {
 	m := &replica{
 		shard:  shard,
 		tenant: cp.Tenant,
 		theta:  cp.Theta,
 		rng:    cp.Range,
-		logGen: cp.Gen,
 		pts:    cp.Positions(),
 		g:      graph.New(len(cp.Points)),
 		feed:   session.NewFeed(cp.ID, cp.Gen, ringSize, cp.Ring),
-		done:   make(chan struct{}),
 	}
 	for _, e := range cp.Edges {
 		m.g.AddEdge(e[0], e[1])
 	}
-	m.cond = sync.NewCond(&m.mu)
-	go m.tail()
 	return m
 }
 
-// append adds one acked record to the replica's log. Called synchronously
-// from the primary session's loop; must not block.
+// append applies one record the primary is about to acknowledge. Called
+// synchronously from the primary session's apply, under its lock.
 func (m *replica) append(rec session.DeltaRecord) {
 	m.mu.Lock()
 	if !m.closed {
-		m.log = append(m.log, rec)
-		m.logGen = rec.Gen
-		m.cond.Signal()
+		m.applyLocked(rec)
 	}
 	m.mu.Unlock()
 }
 
-// tail is the apply loop: it advances the mirror along the log, one
-// generation at a time, and fans applied records out to watch subscribers.
-func (m *replica) tail() {
-	defer close(m.done)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for !m.closed && (m.paused || len(m.log) == 0) {
-			m.cond.Wait()
-		}
-		if m.closed {
-			m.feed.Close()
-			return
-		}
-		m.applyNextLocked()
-	}
-}
-
-// applyNextLocked pops the oldest log record and applies it.
-func (m *replica) applyNextLocked() {
-	rec := m.log[0]
-	m.log = m.log[1:]
-	if len(m.log) == 0 {
-		m.log = nil // release the drained backing array
-	}
-	m.applyLocked(rec)
-}
-
 // applyLocked replays one record the way a wire client would: the event's
 // structural part (a leave swap-removes the node, exactly as the primary's
-// graph did), then the net edge changes, then the feed publish.
+// graph did), then the edge changes, then the feed publish.
 func (m *replica) applyLocked(rec session.DeltaRecord) {
 	switch rec.Op {
 	case "join":
@@ -130,35 +92,28 @@ func (m *replica) applyLocked(rec session.DeltaRecord) {
 	m.feed.Publish(rec)
 }
 
-// lag reports how many acked generations the mirror has yet to apply.
-func (m *replica) lag() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.logGen - m.feed.Gen()
-}
-
 // tryEncodeSince serves a conditional read from the mirror: same outcomes
 // and bytes as the primary's EncodeSince. ok is false when the replica
-// must not answer — its lag exceeds the staleness budget, or the caller
-// is ahead of the mirror (it has seen a generation the cursor has not
-// reached yet; serving would time-travel the client backwards).
-func (m *replica) tryEncodeSince(since, budget int64, buf *bytes.Buffer) (outcome session.GetOutcome, gen int64, lag int64, ok bool) {
+// must not answer: it is closed, or the caller is ahead of the mirror (it
+// holds a generation from some other source; serving would time-travel
+// the client backwards).
+func (m *replica) tryEncodeSince(since int64, buf *bytes.Buffer) (outcome session.GetOutcome, gen int64, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	gen = m.feed.Gen()
-	lag = m.logGen - gen
-	if m.closed || lag > budget || since > gen {
-		return 0, 0, lag, false
+	if m.closed || since > gen {
+		return 0, 0, false
 	}
 	outcome, err := m.feed.EncodeSince(since, buf, m.pts, m.g)
 	if err != nil {
-		return 0, 0, lag, false
+		return 0, 0, false
 	}
-	return outcome, gen, lag, true
+	return outcome, gen, true
 }
 
-// subscribe registers a watch fed by the tailer, mirroring the primary's
-// Subscribe semantics (laggards are disconnected, close means resync).
+// subscribe registers a watch fed by the mirror's applies, mirroring the
+// primary's Subscribe semantics (laggards are disconnected, close means
+// resync).
 func (m *replica) subscribe(buffer int) (<-chan session.DeltaRecord, int64, func(), bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -174,36 +129,20 @@ func (m *replica) subscribe(buffer int) (<-chan session.DeltaRecord, int64, func
 	return ch, m.feed.Gen(), cancel, true
 }
 
-// checkpoint drains the pending log inline — promotion must not wait on
-// the tailer (or respect a test pause) — and serializes the fully
-// caught-up mirror. Because appends are ack-ordered, the result holds
-// every generation the dead primary ever acknowledged.
+// checkpoint serializes the mirror. Because applies are ack-ordered, the
+// result holds every generation the primary ever acknowledged.
 func (m *replica) checkpoint() *session.Checkpoint {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.log) > 0 {
-		m.applyNextLocked()
-	}
 	return m.feed.Checkpoint(m.tenant, m.theta, m.rng, m.pts, m.g)
 }
 
-// setPaused is a test hook: a paused tailer stops applying (lag grows)
-// while appends keep landing in the log.
-func (m *replica) setPaused(p bool) {
-	m.mu.Lock()
-	m.paused = p
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// close stops the tailer and disconnects subscribers. Idempotent; waits
-// for the tailer to exit.
+// close stops applying and disconnects subscribers. Idempotent.
 func (m *replica) close() {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
-		m.cond.Broadcast()
+		m.feed.Close()
 	}
 	m.mu.Unlock()
-	<-m.done
 }

@@ -13,7 +13,7 @@ import (
 // FuzzMirrorReplay decodes the fuzz bytes into a join/leave/move stream
 // (one byte per event: the low two bits pick the op, the rest the node;
 // positions come from the seed), applies it to a primary, and requires the
-// caught-up mirror to serve the primary's exact bytes at the snapshot,
+// mirror to serve the primary's exact bytes at the snapshot,
 // current, one-behind and zero cursors. The mirror's checkpoint must then
 // pass Restore, whose rebuild has to reproduce the mirrored edge set.
 func FuzzMirrorReplay(f *testing.F) {
@@ -49,7 +49,6 @@ func FuzzMirrorReplay(f *testing.F) {
 			n = res.N
 		}
 		m := firstMirror(t, c, s.ID)
-		waitCaughtUp(t, m)
 		gen, err := s.Gen(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +59,7 @@ func FuzzMirrorReplay(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o, g, _, ok := m.tryEncodeSince(since, 0, &got)
+			o, g, ok := m.tryEncodeSince(since, &got)
 			if !ok || o != wo || g != wg || !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("since=%d: mirror (%v, %d, ok=%v) %s\nprimary (%v, %d) %s", since, o, g, ok, got.Bytes(), wo, wg, want.Bytes())
 			}
@@ -111,7 +110,6 @@ func BenchmarkMirror(b *testing.B) {
 		recs[i] = <-ch
 	}
 	cancel()
-	waitCaughtUp(b, m)
 
 	b.Run("apply", func(b *testing.B) {
 		var r *replica
@@ -144,7 +142,7 @@ func BenchmarkMirror(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				if out, _, _, ok := m.tryEncodeSince(bc.since, 0, &buf); !ok || out != bc.want {
+				if out, _, ok := m.tryEncodeSince(bc.since, &buf); !ok || out != bc.want {
 					b.Fatalf("read: outcome %v ok=%v, want %v", out, ok, bc.want)
 				}
 			}

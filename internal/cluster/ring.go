@@ -1,12 +1,3 @@
-// Package cluster shards the hosted-session layer across N registry
-// instances — in-process shards behind the same interfaces a networked
-// deployment would use. Tenants map to shards by consistent hashing with
-// a configurable replication factor: the shard primary owns writes, read
-// replicas tail each session's delta stream by generation cursor, and a
-// checkpoint (snapshot + delta ring + generation) rehosts a session after
-// a crash or rebalance. This is the paper's locality discipline applied to
-// serving: a session's full replication state is its bounded delta window,
-// so moving or re-replicating one costs O(session), never O(cluster).
 package cluster
 
 import (

@@ -86,9 +86,6 @@ type Config struct {
 	// Replicas is the read-replica count per hosted session, clamped to
 	// Shards-1.
 	Replicas int
-	// ReplicaStalenessGens bounds how many generations a replica read may
-	// lag before falling back to the primary; 0 selects 64.
-	ReplicaStalenessGens int
 	// WatchWriteTimeout bounds every SSE watch write so a subscriber that
 	// stops reading cannot stall its handler past drain; 0 selects 5s.
 	WatchWriteTimeout time.Duration
@@ -182,10 +179,9 @@ func New(cfg Config) *Server {
 		shutdownDone: make(chan struct{}),
 		jobs:         newJobStore(cfg.JobTTL),
 		cluster: cluster.New(cluster.Config{
-			Shards:          cfg.Shards,
-			Replicas:        cfg.Replicas,
-			StalenessBudget: cfg.ReplicaStalenessGens,
-			Session:         cfg.Sessions,
+			Shards:   cfg.Shards,
+			Replicas: cfg.Replicas,
+			Session:  cfg.Sessions,
 		}),
 		start: time.Now(),
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // Multi-tenant streaming churn sessions. A session hosts a built topology
-// behind the registry's single-writer loops; churn arrives as NDJSON event
+// behind a per-session mutex; churn arrives as NDJSON event
 // streams repaired incrementally (the ~18x-over-rebuild dynamic path), and
 // readers follow along with generation-numbered deltas — If-None-Match
 // conditional GETs (304 / delta / full snapshot) or an SSE watch stream.
@@ -58,7 +58,7 @@ func tenantOf(r *http.Request) string {
 }
 
 // encodeBufPool holds snapshot/delta encode buffers. Responses are encoded
-// loop-side into a pooled buffer and written to the socket with WriteTo —
+// under the session lock into a pooled buffer and written to the socket with WriteTo —
 // one copy, no per-request allocation once the pool is warm.
 var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -161,7 +161,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // handleSessionEvents applies an NDJSON stream of join/leave/move events,
 // echoing one ApplyResult line per event. Event streams are not jobs: each
 // event is sub-millisecond local repair work serialized by the session's
-// own loop, so routing them through the worker pool would cost a queue
+// own mutex, so routing them through the worker pool would cost a queue
 // round-trip per event for no isolation gain. The stream respects drain
 // (stops at the next event once the server starts draining) and paces
 // itself against the tenant's token bucket — admission charges the first

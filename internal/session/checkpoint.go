@@ -88,15 +88,14 @@ func (cp *Checkpoint) Positions() []geom.Point {
 	return pts
 }
 
-// checkpointLocked captures the session state. Loop goroutine only.
+// checkpointLocked captures the session state. Caller holds s.mu.
 func (s *Session) checkpointLocked() *Checkpoint {
 	t := s.dyn.Topology()
 	return s.feed.Checkpoint(s.Tenant, t.Cfg.Theta, t.Cfg.Range, s.dyn.Points(), t.N)
 }
 
-// Checkpoint serializes the session on its loop goroutine: the captured
-// state is a consistent (gen, points, edges, ring) cut — no apply can
-// interleave.
+// Checkpoint serializes the session under its lock: the captured state is
+// a consistent (gen, points, edges, ring) cut — no apply can interleave.
 func (s *Session) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 	var cp *Checkpoint
 	if err := s.do(ctx, func() { cp = s.checkpointLocked() }); err != nil {
@@ -106,7 +105,7 @@ func (s *Session) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 }
 
 // Rewire atomically captures a checkpoint and installs a new replicator,
-// both on the loop goroutine: no delta record can be applied between the
+// both under the session lock: no delta record can be applied between the
 // capture and the install, so a replica initialized from the checkpoint
 // sees every subsequent record exactly once. install receives the
 // checkpoint and returns the replicator to install (nil detaches).

@@ -14,10 +14,10 @@ import (
 // them. A session and each of its cluster mirrors own one, so the two
 // serve the same bytes by construction.
 //
-// A Feed is not safe for concurrent use: its owner serializes every call
-// (the session on its writer loop, a mirror under its mutex). The state a
-// snapshot reads — positions and the N-graph — stays with the owner and is
-// passed in at the feed's generation.
+// A Feed is not safe for concurrent use: its owner (a session or a mirror)
+// serializes every call under its own mutex. The state a snapshot reads —
+// positions and the N-graph — stays with the owner and is passed in at the
+// feed's generation.
 type Feed struct {
 	id     string
 	gen    int64

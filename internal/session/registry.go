@@ -109,7 +109,6 @@ type Registry struct {
 
 	stop    chan struct{}
 	sweeper sync.WaitGroup
-	loops   sync.WaitGroup
 }
 
 type tenantState struct {
@@ -195,8 +194,8 @@ func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, 
 	return s, nil
 }
 
-// host registers s and starts its loop. The tenant's session slot must
-// already be reserved; host releases it when registration fails.
+// host registers s. The tenant's session slot must already be reserved;
+// host releases it when registration fails.
 func (r *Registry) host(s *Session, counter string) error {
 	r.mu.Lock()
 	if r.closed {
@@ -213,11 +212,6 @@ func (r *Registry) host(s *Session, counter string) error {
 	live := len(r.sessions)
 	r.mu.Unlock()
 
-	r.loops.Add(1)
-	go func() {
-		defer r.loops.Done()
-		s.loop()
-	}()
 	if tel := r.cfg.Telemetry; tel.Enabled() {
 		tel.Gauge("session.live").Set(float64(live))
 		tel.Counter(telemetry.LabeledName(counter, "tenant", s.Tenant)).Inc()
@@ -470,7 +464,7 @@ func (r *Registry) sweepOnce(cutoff time.Time) bool {
 }
 
 // Close drains the registry: no new sessions or lookups, every hosted
-// session's loop stops (disconnecting its watchers and unblocking its
+// session closes (disconnecting its watchers and unblocking its
 // event streams), and the sweeper exits. Safe to call more than once.
 // This runs during server drain, before telemetry sinks flush, so the
 // final session state is observable in the traces.
@@ -478,7 +472,6 @@ func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		r.loops.Wait()
 		r.sweeper.Wait()
 		return
 	}
@@ -493,7 +486,6 @@ func (r *Registry) Close() {
 	for _, s := range sessions {
 		s.Close()
 	}
-	r.loops.Wait()
 	r.sweeper.Wait()
 	if tel := r.cfg.Telemetry; tel.Enabled() {
 		tel.Gauge("session.live").Set(0)

@@ -12,12 +12,12 @@
 // has fallen off the ring — a full snapshot. Watchers receive the same
 // records pushed over a channel for SSE delivery.
 //
-// Concurrency model: a session is a single-writer loop. Every operation —
-// apply, snapshot, delta read, subscribe — is a closure executed by the
-// session's one goroutine, so topology.Dynamic (not safe for concurrent
-// use) never races and every reader sees a consistent (gen, state) pair.
-// Callers block only for their own closure; the channel handshake is the
-// serialization point.
+// Concurrency model: one mutex per session. Every operation — apply,
+// snapshot, delta read, subscribe — takes it and runs inline on the
+// caller's goroutine, so topology.Dynamic (not safe for concurrent use)
+// never races and every reader sees a consistent (gen, state) pair. A
+// repair is a local edit of tens of microseconds, so hosting a session
+// starts no goroutine of its own.
 package session
 
 import (
@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,8 +124,8 @@ const (
 	FullServed
 )
 
-// Session is one hosted topology. All fields below the loop channel are
-// owned by the loop goroutine; external access goes through do().
+// Session is one hosted topology. The fields below mu are guarded by it;
+// external access goes through do().
 type Session struct {
 	ID      string
 	Tenant  string
@@ -136,28 +137,23 @@ type Session struct {
 	cEvents  *telemetry.Counter
 	hTouched *telemetry.BucketHistogram
 
-	cmds      chan func()
-	closed    chan struct{} // closed by Close: stop accepting work
-	loopDone  chan struct{} // closed when the loop exits
-	closeOnce sync.Once
-
 	// lastActive is a unix-nano timestamp bumped by every apply/read;
 	// the registry's TTL sweeper compares it against IdleTTL.
 	lastActive atomic.Int64
 
-	// Loop-owned state.
-	dyn  *topology.Dynamic
-	rec  recorder
-	feed *Feed // generation, delta ring, watchers
-	// repl, when set (see Rewire), receives every delta record on the loop
-	// goroutine before the apply is acknowledged — the cluster layer's
-	// synchronous replication hook. It must not block.
+	mu     sync.Mutex
+	closed bool // set by Close: do refuses further work
+	dyn    *topology.Dynamic
+	rec    recorder
+	feed   *Feed // generation, delta ring, watchers
+	// repl, when set (see Rewire), receives every delta record under mu
+	// before the apply is acknowledged — the cluster layer's synchronous
+	// replication hook. It must not block.
 	repl func(DeltaRecord)
 }
 
 // newSession wraps an already-built dynamic topology and the feed it
-// publishes to. The registry starts the loop; the session does not know
-// about quotas or peers.
+// publishes to. The session does not know about quotas or peers.
 func newSession(tenant string, dyn *topology.Dynamic, feed *Feed, maxNodes int, tel *telemetry.Telemetry) *Session {
 	s := &Session{
 		ID:       feed.id,
@@ -169,13 +165,9 @@ func newSession(tenant string, dyn *topology.Dynamic, feed *Feed, maxNodes int, 
 			telemetry.LabeledName("session.repair_touched", "tenant", tenant),
 			telemetry.DefCountBuckets,
 		),
-		cmds:     make(chan func()),
-		closed:   make(chan struct{}),
-		loopDone: make(chan struct{}),
-		dyn:      dyn,
-		feed:     feed,
+		dyn:  dyn,
+		feed: feed,
 	}
-	s.rec.reset()
 	dyn.SetEdgeObserver(&s.rec)
 	s.touch()
 	return s
@@ -183,7 +175,7 @@ func newSession(tenant string, dyn *topology.Dynamic, feed *Feed, maxNodes int, 
 
 func (s *Session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
 
-// Touch marks the session active without running a loop closure. The
+// Touch marks the session active without taking the session lock. The
 // cluster layer calls it when a replica serves a read, so replica-served
 // sessions do not idle-evict out from under their readers.
 func (s *Session) Touch() { s.touch() }
@@ -191,51 +183,34 @@ func (s *Session) Touch() { s.touch() }
 // IdleSince returns the time of the last apply/read.
 func (s *Session) IdleSince() time.Time { return time.Unix(0, s.lastActive.Load()) }
 
-// loop is the single writer: it executes submitted closures until Close,
-// then disconnects every watcher and exits.
-func (s *Session) loop() {
-	defer close(s.loopDone)
-	for {
-		select {
-		case f := <-s.cmds:
-			f()
-		case <-s.closed:
-			s.feed.Close()
-			return
-		}
-	}
-}
-
-// do runs f on the loop goroutine and waits for it. The unbuffered send is
-// the serialization point: once the loop accepts f it runs it to
-// completion, so a successful send always returns a result. ctx bounds
-// only the wait for a loop slot — abandoning a closure mid-flight would
-// tear the state.
+// do runs f under the session lock. A ctx already done, or a session
+// already closed, runs nothing; once f starts it runs to completion —
+// abandoning it mid-flight would tear the state.
 func (s *Session) do(ctx context.Context, f func()) error {
-	done := make(chan struct{})
-	wrapped := func() {
-		f()
-		close(done)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	select {
-	case s.cmds <- wrapped:
-		<-done
-		return nil
-	case <-s.closed:
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return ErrSessionClosed
-	case <-ctx.Done():
-		return ctx.Err()
+	}
+	f()
+	return nil
+}
+
+// Close refuses further work after the in-flight operation (idempotent;
+// safe from any goroutine). Watchers see their channels close.
+func (s *Session) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		s.feed.Close()
 	}
 }
 
-// Close stops the loop after the in-flight closure (idempotent; safe from
-// any goroutine). Watchers see their channels close.
-func (s *Session) Close() {
-	s.closeOnce.Do(func() { close(s.closed) })
-	<-s.loopDone
-}
-
-// Apply executes one wire event through the single-writer loop. A semantic
+// Apply executes one wire event under the session lock. A semantic
 // rejection (occupied position, bad node id, node-cap breach) is reported
 // in the result, not as an error — the stream goes on; the error return is
 // reserved for "could not run at all" (session closed, ctx done).
@@ -248,7 +223,8 @@ func (s *Session) Apply(ctx context.Context, ev Event) (ApplyResult, error) {
 	return res, err
 }
 
-// apply validates and applies one event on the loop, recording its delta.
+// apply validates and applies one event, recording its delta. Caller holds
+// s.mu.
 func (s *Session) apply(ev Event) ApplyResult {
 	res := ApplyResult{Op: ev.Op, Node: ev.Node, Gen: s.feed.gen, N: s.dyn.N()}
 	var tev topology.Event
@@ -318,12 +294,12 @@ func (s *Session) apply(ev Event) ApplyResult {
 		Node:         res.Node,
 		X:            ev.X,
 		Y:            ev.Y,
-		EdgesAdded:   s.rec.sortedAdded(),
-		EdgesRemoved: s.rec.sortedRemoved(),
+		EdgesAdded:   sortedEdges(s.rec.added),
+		EdgesRemoved: sortedEdges(s.rec.removed),
 		Touched:      st.Touched,
 	}
 	if s.repl != nil {
-		// Ack-ordered replication: the record reaches every replica's log
+		// Ack-ordered replication: every replica has applied the record
 		// before the client sees this generation acknowledged, so a
 		// hard-killed primary can never have acked an event its replicas
 		// don't hold.
@@ -335,8 +311,8 @@ func (s *Session) apply(ev Event) ApplyResult {
 	return res
 }
 
-// EncodeSince writes the response for a conditional read into buf on the
-// loop goroutine: nothing (NotModified) when since is current, the delta
+// EncodeSince writes the response for a conditional read into buf under
+// the session lock: nothing (NotModified) when since is current, the delta
 // records (since, gen] when the ring still holds them, or a full snapshot.
 // since < 0 means "no generation" and always yields the snapshot. The
 // returned generation is the session's current one (the caller's next
@@ -375,7 +351,7 @@ type Stats struct {
 	Connected bool   `json:"connected"`
 }
 
-// Stats reads the session header on the loop.
+// Stats reads the session header.
 func (s *Session) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
 	err := s.do(ctx, func() {
@@ -429,23 +405,15 @@ func (s *Session) Subscribe(ctx context.Context, buffer int) (<-chan DeltaRecord
 	return ch, gen, cancel, nil
 }
 
-// recorder nets the repair's observer notifications into set deltas: an
-// edge removed and re-added within one event cancels out, so the record
-// carries exactly the presence changes between consecutive generations.
+// recorder collects the repair's observer notifications. The repair
+// reports each edge whose presence changed exactly once, and never one
+// that it both added and removed (see topology.EdgeObserver), so the two
+// lists already are the set deltas between consecutive generations.
 type recorder struct {
-	added   map[[2]int]struct{}
-	removed map[[2]int]struct{}
+	added, removed [][2]int
 }
 
-func (r *recorder) reset() {
-	if r.added == nil {
-		r.added = make(map[[2]int]struct{})
-		r.removed = make(map[[2]int]struct{})
-		return
-	}
-	clear(r.added)
-	clear(r.removed)
-}
+func (r *recorder) reset() { r.added, r.removed = r.added[:0], r.removed[:0] }
 
 func edgeKey(u, v int) [2]int {
 	if u > v {
@@ -455,44 +423,21 @@ func edgeKey(u, v int) [2]int {
 }
 
 // EdgeAdded implements topology.EdgeObserver.
-func (r *recorder) EdgeAdded(u, v int) {
-	k := edgeKey(u, v)
-	if _, ok := r.removed[k]; ok {
-		delete(r.removed, k)
-		return
-	}
-	r.added[k] = struct{}{}
-}
+func (r *recorder) EdgeAdded(u, v int) { r.added = append(r.added, edgeKey(u, v)) }
 
 // EdgeRemoved implements topology.EdgeObserver.
-func (r *recorder) EdgeRemoved(u, v int) {
-	k := edgeKey(u, v)
-	if _, ok := r.added[k]; ok {
-		delete(r.added, k)
-		return
-	}
-	r.removed[k] = struct{}{}
-}
+func (r *recorder) EdgeRemoved(u, v int) { r.removed = append(r.removed, edgeKey(u, v)) }
 
-func sortedEdges(m map[[2]int]struct{}) [][2]int {
-	if len(m) == 0 {
+// sortedEdges returns es sorted in a fresh slice (the delta record keeps
+// it past the recorder's next reset), or nil when es is empty.
+func sortedEdges(es [][2]int) [][2]int {
+	if len(es) == 0 {
 		return nil
 	}
-	out := make([][2]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	out := slices.Clone(es)
+	sort.Slice(out, func(i, j int) bool { return lessEdge(out[i], out[j]) })
 	return out
 }
-
-func (r *recorder) sortedAdded() [][2]int   { return sortedEdges(r.added) }
-func (r *recorder) sortedRemoved() [][2]int { return sortedEdges(r.removed) }
 
 func finite(x float64) bool {
 	return x == x && x < 1e308 && x > -1e308

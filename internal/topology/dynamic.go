@@ -72,9 +72,12 @@ type UpdateStats struct {
 
 // EdgeObserver receives the final-topology (N-graph) edge mutations a
 // repair performs, in the id space current at notification time. Observers
-// see exactly the edges whose presence changed — an edge removed and
-// re-added within one repair is reported twice (remove, then add), and the
-// caller nets them out if it wants set deltas.
+// see exactly the edges whose presence changed, each at most once per
+// Apply: removals all come first and name edges neither endpoint's
+// admission row asserts any more, so no later add can restore them, and
+// an add is reported only for an edge not yet present. No edge is ever
+// both removed and added by one event, so the two notification lists are
+// already the set deltas between consecutive states.
 //
 // Structural mutations are NOT reported: a Leave's swap-removal (edges
 // incident to the departing node vanish; the last node's edges are

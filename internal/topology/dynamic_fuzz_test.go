@@ -14,6 +14,8 @@ import (
 // FuzzDynamicRepair drives the incremental maintenance through an event
 // sequence decoded from the fuzzer's bytes and requires NearestOut,
 // AdmitIn, YaoGraph and N to equal a from-scratch BuildTheta after every event.
+// An edge observer watches every repair: no event may report an edge twice
+// or both add and remove it.
 //
 // The first three bytes pick the start: n0 = 2 + b0%40 uniform points from
 // seed b1, and D = CriticalRange·(0.5 + b2/64), so D ranges from half the
@@ -38,6 +40,8 @@ func FuzzDynamicRepair(f *testing.F) {
 		D := unitdisk.CriticalRange(pts) * (0.5 + float64(data[2])/64)
 		cfg := Config{Theta: math.Pi / 6, Range: D}
 		d := NewDynamic(pts, cfg)
+		log := &edgeLog{}
+		d.SetEdgeObserver(log)
 		jit := rand.New(rand.NewSource(int64(len(data))*7919 + int64(data[1])))
 		jitter := func(p geom.Point) geom.Point {
 			return geom.Pt(p.X+jit.Float64()*1e-9, p.Y+jit.Float64()*1e-9)
@@ -64,8 +68,11 @@ func FuzzDynamicRepair(f *testing.F) {
 			if ev.Kind != Leave && d.HasNodeAt(ev.Pos) {
 				continue
 			}
+			log.ops = log.ops[:0]
 			d.Apply(ev)
-			requireEquivalent(t, d, fmt.Sprintf("event %d (%v)", e, ev))
+			label := fmt.Sprintf("event %d (%v)", e, ev)
+			requireUnnetted(t, log.ops, label)
+			requireEquivalent(t, d, label)
 		}
 	})
 }

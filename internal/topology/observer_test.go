@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -12,8 +13,7 @@ import (
 	"toporouting/internal/unitdisk"
 )
 
-// edgeLog records observer notifications in order; order matters because a
-// repair may remove and re-add the same edge within one event.
+// edgeLog records observer notifications in order.
 type edgeLog struct {
 	ops []edgeOp
 }
@@ -123,6 +123,7 @@ func TestEdgeObserverMirrorsTopology(t *testing.T) {
 		}
 		log.ops = log.ops[:0]
 		d.Apply(ev)
+		requireUnnetted(t, log.ops, fmt.Sprintf("event %d (%v)", i, ev.Kind))
 		m.applyStructural(ev)
 		m.applyOps(log.ops)
 		got, want := m.sorted(), d.Topology().N.Edges()
@@ -136,6 +137,21 @@ func TestEdgeObserverMirrorsTopology(t *testing.T) {
 		}
 	}
 	requireEquivalent(t, d, "after observed churn")
+}
+
+// requireUnnetted asserts the EdgeObserver contract a delta recorder
+// relies on: within one event no edge is reported twice, and none is both
+// added and removed.
+func requireUnnetted(t *testing.T, ops []edgeOp, label string) {
+	t.Helper()
+	seen := make(map[graph.Edge]bool, len(ops))
+	for _, op := range ops {
+		e := graph.Canon(op.u, op.v)
+		if seen[e] {
+			t.Fatalf("%s: edge %v reported more than once in one event", label, e)
+		}
+		seen[e] = true
+	}
 }
 
 // TestEdgeObserverDetachable pins that a nil observer restores the
