@@ -136,7 +136,7 @@ fire:
 
 	// Settle, then audit: an unconditional GET per session must come back at
 	// or past the highest acked generation. A session that fails over lands
-	// on a new shard rebuilt from its replica log; acked events surviving
+	// on a new shard rebuilt from a mirror's checkpoint; acked events surviving
 	// that move is exactly what LostEvents == 0 certifies.
 	for _, st := range states {
 		gen := finalGen(client, st)

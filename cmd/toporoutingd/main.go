@@ -8,7 +8,7 @@
 //	toporoutingd [-addr :8080] [-queue 64] [-workers 0]
 //	             [-default-timeout 30s] [-max-timeout 5m]
 //	             [-max-nodes 50000] [-max-steps 10000000] [-job-ttl 10m]
-//	             [-cache on|off] [-cache-bytes 67108864]
+//	             [-cache-bytes 67108864]
 //	             [-grace 10s] [-trace trace.jsonl] [-expvar toporouting]
 //	             [-log text|json|off] [-trace-slow 32] [-trace-sample 64]
 //	             [-max-sessions 256] [-max-tenant-sessions 8]
@@ -48,8 +48,8 @@
 // /debug/cluster/kill?shard=N hard-stops a shard (fault injection — the
 // in-process equivalent of SIGKILLing its host).
 //
-// Every /v1 request is traced as a span tree — admission wait, worker
-// pickup, build phases, simulation steps, response encode — and logged as
+// Every /v1 request is traced as a span tree — admission wait, job run,
+// build phases, simulation steps, response encode — and logged as
 // one structured line carrying its request and trace ids (echoed to the
 // client as X-Request-ID / X-Trace-ID). The -trace-slow slowest traces
 // plus a -trace-sample uniform sample are retained in memory and served
@@ -61,19 +61,22 @@
 // request, so a repeat request is answered from the exact cached bytes
 // (X-Cache: hit) or coalesced onto an in-flight identical build. The cache
 // key doubles as a strong ETag; If-None-Match answers 304 Not Modified
-// without building. -cache-bytes sizes the cache (default 64 MiB),
-// -cache off disables it entirely. Once the cache is full it is most of
-// the live heap, and Go's default GC target (GOGC=100) lets the heap grow
-// to twice that; unless GOGC is set in the environment, the daemon runs
-// at GOGC=25 (gcPercent), which keeps the process near the cache size
-// plus its working set. The cached bodies hold no pointers, so the extra
-// collections cost little CPU.
+// without building. -cache-bytes sizes the cache (default 64 MiB); zero
+// or a negative size disables it entirely. Once the cache is full it is
+// most of the live heap, and Go's default GC target (GOGC=100) lets the
+// heap grow to twice that; unless GOGC is set in the environment, the
+// daemon runs at GOGC=25 (gcPercent), which keeps the process near the
+// cache size plus its working set. The cached bodies hold no pointers, so
+// the extra collections cost little CPU.
 //
-// Load is shed explicitly: requests queue on a bounded admission queue
-// drained by a fixed worker pool, and a full queue answers 429 with
-// Retry-After. Every request carries a deadline (timeout_ms, capped by
-// -max-timeout, defaulting to -default-timeout), and a disconnected client
-// cancels its synchronous job within one simulation step.
+// Load is shed explicitly: at most -workers builds, queries, simulations
+// and session creates run at once, each on its request's own goroutine (an
+// async simulation gets one of its own); up to -queue more wait for a
+// slot, and past that a request answers 429 with Retry-After. Every
+// request carries a deadline (timeout_ms, capped by -max-timeout,
+// defaulting to -default-timeout), and a disconnected client leaves the
+// wait at once and cancels a running synchronous job within one
+// simulation step.
 //
 // SIGINT/SIGTERM drains gracefully: readiness flips to 503, admission
 // stops, in-flight jobs get -grace to finish, stragglers are cancelled
@@ -116,15 +119,14 @@ const gcPercent = 25
 func run() error {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		queue          = flag.Int("queue", 64, "admission queue depth (full queue sheds with 429)")
-		workers        = flag.Int("workers", 0, "job executor count (0 = GOMAXPROCS)")
+		queue          = flag.Int("queue", 64, "jobs that may wait for a slot (past that, requests shed with 429)")
+		workers        = flag.Int("workers", 0, "jobs that run at once (0 = GOMAXPROCS)")
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "deadline for requests without timeout_ms")
 		maxTimeout     = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
 		maxNodes       = flag.Int("max-nodes", 50000, "per-request node cap")
 		maxSteps       = flag.Int("max-steps", 10_000_000, "per-request steps×runs cap")
 		jobTTL         = flag.Duration("job-ttl", 10*time.Minute, "retention of finished async jobs")
-		cacheMode      = flag.String("cache", "on", "digest-keyed response cache: on or off")
-		cacheBytes     = flag.Int64("cache-bytes", 64<<20, "response cache size bound in bytes")
+		cacheBytes     = flag.Int64("cache-bytes", 64<<20, "response cache size bound in bytes (≤ 0 disables the cache)")
 		grace          = flag.Duration("grace", 10*time.Second, "drain grace period on SIGTERM")
 		trace          = flag.String("trace", "", "stream JSONL trace events to this file")
 		expvarName     = flag.String("expvar", "toporouting", "expvar name for the live telemetry snapshot")
@@ -146,15 +148,8 @@ func run() error {
 	}
 
 	effCacheBytes := *cacheBytes
-	switch *cacheMode {
-	case "on":
-		if effCacheBytes <= 0 {
-			effCacheBytes = -1 // -cache on with a non-positive size is still off
-		}
-	case "off":
-		effCacheBytes = -1
-	default:
-		return fmt.Errorf("unknown -cache mode %q (want on or off)", *cacheMode)
+	if effCacheBytes <= 0 {
+		effCacheBytes = -1 // server.Config reads 0 as the default size
 	}
 
 	var logger *slog.Logger

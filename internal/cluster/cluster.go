@@ -161,6 +161,7 @@ func (c *Cluster) Create(ctx context.Context, tenant string, pts []geom.Point, s
 		// its registry already closed the session. Surface as a drain.
 		return nil, session.ErrClosed
 	}
+	c.reapLocked()
 	if err := c.attachLocked(s, tenant, primary.id); err != nil {
 		primary.reg.Delete(tenant, s.ID)
 		return nil, err
@@ -219,7 +220,7 @@ func (c *Cluster) lookup(tenant, id string) (*route, *shard, error) {
 
 // primary resolves id to its route and its primary session. The registry
 // lookup doubles as the liveness/TTL check: a session its shard's sweeper
-// evicted has its route reaped, so no mirror serves it afterwards.
+// evicted has its route dropped, so no mirror serves it afterwards.
 func (c *Cluster) primary(tenant, id string) (*route, *session.Session, error) {
 	rt, sh, err := c.lookup(tenant, id)
 	if err != nil {
@@ -269,6 +270,19 @@ func (c *Cluster) unrouteLocked(id string, rt *route) []*replica {
 	}
 	delete(c.routes, id)
 	return rt.mirrors
+}
+
+// reapLocked drops the route of every session its primary no longer hosts
+// and closes the route's mirrors. A shard's registry evicts idle sessions
+// without telling the cluster, so without this an evicted session's
+// mirrors — full copies of it — would outlive it, and a kill of its old
+// shard would promote it back. Caller holds c.mu.
+func (c *Cluster) reapLocked() {
+	for id, rt := range c.routes {
+		if _, err := c.shards[rt.primary].reg.Get(rt.tenant, id); err == session.ErrNotFound {
+			closeAll(c.unrouteLocked(id, rt))
+		}
+	}
 }
 
 func closeAll(mirrors []*replica) {
@@ -395,10 +409,12 @@ type Status struct {
 	Sessions int           `json:"sessions"`
 }
 
-// Status reports shard liveness and session placement.
+// Status reports shard liveness and session placement, reaping the routes
+// of evicted sessions first so it counts only hosted ones.
 func (c *Cluster) Status() Status {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reapLocked()
 	st := Status{Replicas: c.cfg.Replicas, Sessions: len(c.routes)}
 	for _, sh := range c.shards {
 		row := ShardStatus{ID: sh.id, Alive: sh.alive, Mirrors: len(sh.mirrors)}
@@ -429,8 +445,8 @@ type RebalanceStats struct {
 // acknowledged generation, so an acknowledged event can never be lost if
 // the session had a replica. The shard's primaries are promoted (replica
 // checkpoint → serialize → restore-by-rebuild on the new ring owner), and
-// surviving primaries that lost a mirror are re-replicated. The last alive
-// shard cannot be killed.
+// surviving primaries that lost a mirror are re-replicated. A session the
+// shard already evicted stays gone. The last alive shard cannot be killed.
 func (c *Cluster) Kill(i int) (RebalanceStats, error) {
 	st := RebalanceStats{Shard: i}
 	c.mu.Lock()
@@ -455,6 +471,9 @@ func (c *Cluster) Kill(i int) (RebalanceStats, error) {
 		return st, fmt.Errorf("cluster: refusing to kill the last alive shard")
 	}
 
+	// Read the dying registry's membership while it still answers: a
+	// session it already evicted is dropped here, never promoted.
+	c.reapLocked()
 	sh.alive = false
 	c.ring = newRing(c.aliveIDsLocked())
 	// Close the dead shard's sessions before recovery so they cannot ack

@@ -440,6 +440,59 @@ func TestClusterKillRebalance(t *testing.T) {
 	}
 }
 
+// TestIdleEvictionDropsRoutes pins that a session its shard's sweeper
+// evicts takes its route and mirrors with it: a later kill of its old
+// shard must not promote it back, and the status must count neither it nor
+// its mirrors.
+func TestIdleEvictionDropsRoutes(t *testing.T) {
+	const tenants = 8
+	c := testCluster(t, Config{Shards: 4, Replicas: 2, Session: session.Config{IdleTTL: 40 * time.Millisecond}})
+	ids := make([]string, tenants)
+	hosted := map[int]int{} // sessions per primary shard, read off the id prefix
+	for i := range ids {
+		ids[i] = clusterCreate(t, c, fmt.Sprintf("tenant-%d", i), 60, int64(i)).ID
+		var shard int
+		if _, err := fmt.Sscanf(ids[i], "s%d-", &shard); err != nil {
+			t.Fatalf("session id %q carries no shard prefix: %v", ids[i], err)
+		}
+		hosted[shard]++
+	}
+	victim := -1
+	for sh, n := range hosted {
+		if victim < 0 || n > hosted[victim] {
+			victim = sh
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Live() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still live after 5 s with a 40 ms idle TTL", c.Live())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	rb, err := c.Kill(victim)
+	if err != nil {
+		t.Fatalf("Kill(%d): %v", victim, err)
+	}
+	if rb.Moved != 0 || rb.Lost != 0 || rb.Rereplicated != 0 {
+		t.Fatalf("kill of shard %d, which hosted %d evicted sessions: %+v, want nothing moved", victim, hosted[victim], rb)
+	}
+	for i, id := range ids {
+		if _, err := c.Get(fmt.Sprintf("tenant-%d", i), id); !errors.Is(err, session.ErrNotFound) {
+			t.Fatalf("evicted session %s after the kill: Get err = %v, want ErrNotFound", id, err)
+		}
+	}
+	st := c.Status()
+	mirrors := 0
+	for _, row := range st.Shards {
+		mirrors += row.Mirrors
+	}
+	if st.Sessions != 0 || mirrors != 0 {
+		t.Fatalf("status after eviction holds %d sessions and %d mirrors, want none", st.Sessions, mirrors)
+	}
+}
+
 // TestKillLastShardRefused pins the refusal path without load.
 func TestKillLastShardRefused(t *testing.T) {
 	c := testCluster(t, Config{Shards: 1})

@@ -6,15 +6,13 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"toporouting/internal/telemetry"
 )
 
 // Admission errors. The HTTP layer maps errQueueFull to 429 + Retry-After
 // (shed load, tell the client when to come back) and errDraining to 503
 // (the process is going away; retry against another instance).
 var (
-	errQueueFull = errors.New("server: job queue full")
+	errQueueFull = errors.New("server: every job slot and waiting place taken")
 	errDraining  = errors.New("server: draining, not admitting work")
 )
 
@@ -29,23 +27,13 @@ const (
 	statusCanceled jobStatus = "canceled"
 )
 
-// job is one unit of admitted work: a closure run by the worker pool under
-// a per-job context. Both synchronous requests (handler waits on done) and
-// asynchronous ones (client polls /v1/jobs/{id}) are jobs — admission,
-// backpressure, deadlines, and drain treat them identically.
+// job is the pollable record of one async request (GET /v1/jobs/{id}). A
+// synchronous request has none; its handler waits for the outcome itself.
+// setRunning and finish are no-ops on a nil job so the shared run path
+// need not tell the two apart.
 type job struct {
 	id   string
 	kind string
-	// ctx governs the run: derived from the request context for sync jobs
-	// (client disconnect cancels) and from the server's base context for
-	// async jobs (drain cancels); both carry the request deadline.
-	ctx    context.Context
-	cancel context.CancelFunc
-	run    func(context.Context) (any, error)
-	done   chan struct{}
-	// waitSpan measures the admission wait (creation to worker pickup)
-	// when the originating request is traced; nil otherwise.
-	waitSpan *telemetry.Span
 
 	mu       sync.Mutex
 	status   jobStatus
@@ -63,29 +51,39 @@ func (j *job) currentStatus() jobStatus {
 }
 
 func (j *job) setRunning() {
+	if j == nil {
+		return
+	}
 	j.mu.Lock()
 	j.status = statusRunning
 	j.started = time.Now()
 	j.mu.Unlock()
 }
 
-// finish records the outcome and releases waiters. Cancellation (from
-// either side of the context tree) is reported as statusCanceled so job
-// polls can tell shed/abandoned work from genuine failures.
+// finish records the outcome.
 func (j *job) finish(result any, err error) {
+	if j == nil {
+		return
+	}
 	j.mu.Lock()
 	j.result, j.err = result, err
 	j.finished = time.Now()
+	j.status = outcome(err)
+	j.mu.Unlock()
+}
+
+// outcome is the final status of a job that ended with err. Cancellation
+// (from either side of the context tree) is reported as statusCanceled so
+// job polls can tell shed/abandoned work from genuine failures.
+func outcome(err error) jobStatus {
 	switch {
 	case err == nil:
-		j.status = statusDone
+		return statusDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.status = statusCanceled
+		return statusCanceled
 	default:
-		j.status = statusFailed
+		return statusFailed
 	}
-	j.mu.Unlock()
-	close(j.done)
 }
 
 // snapshot returns the job's externally visible state. Durations are live:
@@ -98,7 +96,7 @@ func (j *job) snapshot() jobView {
 	now := time.Now()
 	v := jobView{ID: j.id, Kind: j.kind, Status: string(j.status)}
 	if j.started.IsZero() {
-		// Never picked up: retired in the queue (finished set) or still
+		// Never ran: retired while waiting (finished set) or still
 		// waiting (live wait so far).
 		end := now
 		if !j.finished.IsZero() {
@@ -169,15 +167,6 @@ func (s *jobStore) get(id string) (*job, bool) {
 	s.sweepLocked()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// cancelAll cancels every tracked job's context (drain forcing).
-func (s *jobStore) cancelAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		j.cancel()
-	}
 }
 
 func (s *jobStore) sweepLocked() {

@@ -1,16 +1,19 @@
 // Package server is the HTTP/JSON serving layer of the stack: topology
-// builds, routing simulations, and interference queries behind a bounded
-// admission queue and a fixed worker pool.
+// builds, routing simulations, and interference queries behind a counting
+// semaphore that bounds how many run at once.
 //
-// Admission control is explicit: every request becomes a job on a bounded
-// queue drained by a fixed number of workers. When the queue is full the
-// server sheds load with 429 + Retry-After instead of letting goroutines
-// and latency pile up. Every job runs under a context carrying the request
+// Admission control is explicit: every build, query, simulation and session
+// create takes one of Workers slots and runs on the goroutine that asked
+// for it — the request's own, or one goroutine per async job. With every
+// slot taken, up to QueueDepth requests wait for one; past that the server
+// sheds load with 429 + Retry-After instead of letting goroutines and
+// latency pile up. Every job runs under a context carrying the request
 // deadline; synchronous jobs are additionally cancelled when the client
-// disconnects, so abandoned work stops within one simulation step.
-// Shutdown drains: admission stops (readiness flips, new work gets 503),
-// in-flight jobs get a grace period to finish, and whatever remains is
-// cancelled through the same contexts before telemetry sinks are flushed.
+// disconnects, so a waiting request leaves at once and running work stops
+// within one simulation step. Shutdown drains: admission stops (readiness
+// flips, new work gets 503), in-flight jobs get a grace period to finish,
+// and whatever remains is cancelled through the same contexts before
+// telemetry sinks are flushed. The server starts no goroutine of its own.
 package server
 
 import (
@@ -39,10 +42,10 @@ import (
 
 // Config parameterizes a Server. The zero value serves with sane defaults.
 type Config struct {
-	// QueueDepth bounds the admission queue (jobs admitted but not yet
-	// running); 0 selects 64. A full queue sheds with 429.
+	// QueueDepth bounds the jobs admitted but waiting for a slot; 0
+	// selects 64. A request that finds them all taken is shed with 429.
 	QueueDepth int
-	// Workers is the number of job executors; 0 selects GOMAXPROCS.
+	// Workers is the number of jobs that run at once; 0 selects GOMAXPROCS.
 	Workers int
 	// DefaultTimeout applies to requests that do not set timeout_ms;
 	// 0 selects 30s. MaxTimeout caps client-requested timeouts; 0 selects
@@ -66,7 +69,7 @@ type Config struct {
 	// as Prometheus text exposition (?format=json for the JSON snapshot).
 	Telemetry *toporouting.Telemetry
 	// Tracer, when non-nil, mints one span tree per /v1 request —
-	// admission wait, worker pickup, build phases, simulation steps, and
+	// admission wait, job run, build phases, simulation steps, and
 	// response encode — retained in the tracer's ring and served at
 	// GET /debug/traces. nil disables tracing at zero cost.
 	Tracer *toporouting.Tracer
@@ -128,7 +131,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the serving core: mux, admission queue, worker pool, job store.
+// Server is the serving core: mux, admission semaphore, async job store.
 type Server struct {
 	cfg Config
 	mux *http.ServeMux
@@ -138,12 +141,10 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	queue    chan *job
-	stop     chan struct{} // closed after drain; workers exit
-	wg       sync.WaitGroup
+	slots    chan struct{} // one token per running job; capacity Workers
+	waiting  atomic.Int64  // jobs admitted and waiting for a slot, ≤ QueueDepth
 	draining atomic.Bool
 	active   atomic.Int64 // jobs admitted and not yet finished
-	busy     atomic.Int64 // workers currently executing a job
 	reqSeq   atomic.Int64 // request-id sequence for the /v1 middleware
 
 	// avgRunBits is an EWMA of job run time in milliseconds (float64
@@ -165,7 +166,7 @@ type Server struct {
 	shutdownErr  error
 }
 
-// New builds a Server and starts its worker pool. The caller owns shutdown:
+// New builds a Server. It starts no goroutine; the caller owns shutdown:
 // call Shutdown to drain before exiting.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -174,8 +175,7 @@ func New(cfg Config) *Server {
 		cfg:          cfg,
 		baseCtx:      ctx,
 		baseCancel:   cancel,
-		queue:        make(chan *job, cfg.QueueDepth),
-		stop:         make(chan struct{}),
+		slots:        make(chan struct{}, cfg.Workers),
 		shutdownDone: make(chan struct{}),
 		jobs:         newJobStore(cfg.JobTTL),
 		cluster: cluster.New(cluster.Config{
@@ -189,10 +189,6 @@ func New(cfg Config) *Server {
 		s.cache = topocache.New(cfg.CacheBytes, cfg.Telemetry)
 	}
 	s.mux = s.routes()
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
@@ -229,59 +225,6 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// worker drains the admission queue until drain closes s.stop. A job whose
-// context died while it sat in the queue is retired without running.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.execute(j)
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-func (s *Server) execute(j *job) {
-	defer s.active.Add(-1)
-	defer j.cancel()
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-	j.waitSpan.End() // worker pickup: the admission wait is over
-	if err := j.ctx.Err(); err != nil {
-		j.finish(nil, err)
-		return
-	}
-	j.setRunning()
-	waitMS := float64(time.Since(j.created)) / float64(time.Millisecond)
-	tel := s.cfg.Telemetry
-	if tel.Enabled() {
-		s.jobWait.Get(j.kind, func(kind string) *telemetry.BucketHistogram {
-			return tel.BucketHistogram(telemetry.LabeledName("server.job_wait_ms", "kind", kind), telemetry.DefLatencyBuckets)
-		}).Observe(waitMS)
-	}
-	runCtx, runSpan := telemetry.StartChild(j.ctx, "job.run")
-	runT0 := time.Now()
-	result, err := safeRun(j, runCtx)
-	runMS := float64(time.Since(runT0)) / float64(time.Millisecond)
-	runSpan.End()
-	s.noteRunMS(runMS)
-	j.finish(result, err)
-	if tel.Enabled() {
-		tel.Counter("server.jobs_finished").Inc()
-		if err != nil {
-			tel.Counter("server.jobs_failed").Inc()
-		}
-		s.jobRun.Get(j.kind, func(kind string) *telemetry.BucketHistogram {
-			return tel.BucketHistogram(telemetry.LabeledName("server.job_run_ms", "kind", kind), telemetry.DefLatencyBuckets)
-		}).Observe(runMS)
-		s.jobOutcomes.Get([2]string{j.kind, string(j.currentStatus())}, func(k [2]string) *telemetry.Counter {
-			return tel.Counter(telemetry.LabeledName("server.job_outcomes", "kind", k[0], "status", k[1]))
-		}).Inc()
-	}
-}
-
 // noteRunMS folds one job's run time into the EWMA drain-rate estimate.
 // α = 0.2 keeps roughly the last five jobs' weight, enough to track load
 // shifts without letting one outlier own the Retry-After answer.
@@ -301,16 +244,16 @@ func (s *Server) noteRunMS(ms float64) {
 }
 
 // retryAfterSeconds estimates when a shed client should come back: the
-// queued work ahead of it (current depth + itself) divided by the pool's
-// drain rate, estimated from the run-time EWMA. Clamped to [1, 30] s — 1
-// because Retry-After is integral and 0 would invite a tight retry loop,
-// 30 so a momentary spike never parks clients for minutes.
+// waiting work ahead of it (current waiters + itself) divided by the
+// slots' drain rate, estimated from the run-time EWMA. Clamped to
+// [1, 30] s — 1 because Retry-After is integral and 0 would invite a tight
+// retry loop, 30 so a momentary spike never parks clients for minutes.
 func (s *Server) retryAfterSeconds() int {
 	avg := math.Float64frombits(s.avgRunBits.Load())
 	if avg <= 0 {
 		return 1 // no completed jobs yet: nothing to estimate from
 	}
-	secs := avg * float64(len(s.queue)+1) / (1000 * float64(s.cfg.Workers))
+	secs := avg * float64(s.waiting.Load()+1) / (1000 * float64(s.cfg.Workers))
 	ra := int(math.Ceil(secs))
 	if ra < 1 {
 		ra = 1
@@ -324,20 +267,20 @@ func (s *Server) retryAfterSeconds() int {
 // safeRun executes the job body under ctx (the job context, possibly
 // carrying a run span), converting a panic (e.g. the topology builder's
 // invalid-configuration panic) into a job error instead of taking down the
-// worker.
-func safeRun(j *job, ctx context.Context) (result any, err error) {
+// process.
+func safeRun(ctx context.Context, fn func(context.Context) (any, error)) (result any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	return j.run(ctx)
+	return fn(ctx)
 }
 
-// newJob wires a job under parent with the effective request timeout. The
-// returned job's context is additionally cancelled when the server's base
-// context dies (drain forcing), whatever the parent is.
-func (s *Server) newJob(kind string, parent context.Context, timeoutMS int, run func(context.Context) (any, error)) *job {
+// jobContext derives a job's context from parent with the effective request
+// timeout. It is also cancelled when the server's base context dies (drain
+// forcing), whatever the parent is.
+func (s *Server) jobContext(parent context.Context, timeoutMS int) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
@@ -347,74 +290,140 @@ func (s *Server) newJob(kind string, parent context.Context, timeoutMS int, run 
 	}
 	ctx, cancel := context.WithTimeout(parent, timeout)
 	stopAfter := context.AfterFunc(s.baseCtx, cancel)
-	j := &job{
-		id:      s.jobs.nextID(),
-		kind:    kind,
-		ctx:     ctx,
-		cancel:  func() { stopAfter(); cancel() },
-		run:     run,
-		done:    make(chan struct{}),
-		status:  statusQueued,
-		created: time.Now(),
-	}
-	// When the request carries a root span, the time between here and
-	// worker pickup is the admission wait — the first child of the tree.
-	if sp := telemetry.SpanFromContext(parent); sp != nil {
-		j.waitSpan = sp.Child("admission.wait")
-	}
-	return j
+	return ctx, func() { stopAfter(); cancel() }
 }
 
-// admit places the job on the bounded queue without blocking: a full queue
-// is load to shed now, not latency to hide.
-func (s *Server) admit(j *job) error {
-	if s.draining.Load() {
-		return errDraining
-	}
+// admit reserves room for one job without blocking: a free slot, or else
+// one of the QueueDepth waiting places, or else errQueueFull — a full
+// server is load to shed now, not latency to hide. queued reports a waiting
+// place, which run trades for a slot. Every admitted job must go to run.
+func (s *Server) admit() (queued bool, err error) {
+	// Counting the job in flight before reading draining closes the race
+	// with drain, which sets draining before it reads active.
 	s.active.Add(1)
-	select {
-	case s.queue <- j:
-		if tel := s.cfg.Telemetry; tel.Enabled() {
-			tel.Counter("server.jobs_admitted").Inc()
-			tel.Gauge("server.queue_depth").Set(float64(len(s.queue)))
-		}
-		return nil
-	default:
+	if s.draining.Load() {
 		s.active.Add(-1)
-		if tel := s.cfg.Telemetry; tel.Enabled() {
-			tel.Counter("server.jobs_shed").Inc()
-		}
-		return errQueueFull
+		return false, errDraining
 	}
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		if s.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+			s.waiting.Add(-1)
+			s.active.Add(-1)
+			if tel := s.cfg.Telemetry; tel.Enabled() {
+				tel.Counter("server.jobs_shed").Inc()
+			}
+			return false, errQueueFull
+		}
+		queued = true
+	}
+	if tel := s.cfg.Telemetry; tel.Enabled() {
+		tel.Counter("server.jobs_admitted").Inc()
+		tel.Gauge("server.queue_depth").Set(float64(s.waiting.Load()))
+	}
+	return queued, nil
 }
 
-// runJob wires a synchronous job, admits it, and blocks for its outcome:
-// the run's result on success, the admission or job error otherwise.
-// writeRunError maps every error it can return to a response.
-func (s *Server) runJob(parent context.Context, kind string, timeoutMS int, run func(context.Context) (any, error)) (any, error) {
-	j := s.newJob(kind, parent, timeoutMS, run)
-	if err := s.admit(j); err != nil {
-		j.cancel()
+// run executes an admitted job on the caller's goroutine. A queued job
+// first waits for a slot; a job whose context ends before it runs (the
+// client left, the deadline passed, drain forced) gives its place back and
+// never runs. j, the pollable record of an async job, is nil for a
+// synchronous one.
+func (s *Server) run(ctx context.Context, kind string, queued bool, j *job, fn func(context.Context) (any, error)) (any, error) {
+	defer s.active.Add(-1)
+	t0 := time.Now()
+	// When the request carries a root span, the time until the job holds a
+	// slot is the admission wait — the first child of the tree.
+	waitSpan := telemetry.SpanFromContext(ctx).Child("admission.wait")
+	held := !queued
+	if queued {
+		select {
+		case s.slots <- struct{}{}:
+			held = true
+		case <-ctx.Done():
+		}
+		s.waiting.Add(-1)
+	}
+	if held {
+		defer func() { <-s.slots }()
+	}
+	waitSpan.End()
+	if err := ctx.Err(); err != nil {
+		j.finish(nil, err)
 		return nil, err
 	}
-	<-j.done
-	j.mu.Lock()
-	result, err := j.result, j.err
-	j.mu.Unlock()
+	j.setRunning()
+	tel := s.cfg.Telemetry
+	if tel.Enabled() {
+		s.jobWait.Get(kind, func(kind string) *telemetry.BucketHistogram {
+			return tel.BucketHistogram(telemetry.LabeledName("server.job_wait_ms", "kind", kind), telemetry.DefLatencyBuckets)
+		}).Observe(float64(time.Since(t0)) / float64(time.Millisecond))
+	}
+	runCtx, runSpan := telemetry.StartChild(ctx, "job.run")
+	runT0 := time.Now()
+	result, err := safeRun(runCtx, fn)
+	runMS := float64(time.Since(runT0)) / float64(time.Millisecond)
+	runSpan.End()
+	s.noteRunMS(runMS)
+	j.finish(result, err)
+	if tel.Enabled() {
+		tel.Counter("server.jobs_finished").Inc()
+		if err != nil {
+			tel.Counter("server.jobs_failed").Inc()
+		}
+		s.jobRun.Get(kind, func(kind string) *telemetry.BucketHistogram {
+			return tel.BucketHistogram(telemetry.LabeledName("server.job_run_ms", "kind", kind), telemetry.DefLatencyBuckets)
+		}).Observe(runMS)
+		s.jobOutcomes.Get([2]string{kind, string(outcome(err))}, func(k [2]string) *telemetry.Counter {
+			return tel.Counter(telemetry.LabeledName("server.job_outcomes", "kind", k[0], "status", k[1]))
+		}).Inc()
+	}
 	return result, err
+}
+
+// runJob admits a synchronous job and runs it on the caller's goroutine:
+// the run's result on success, the admission or job error otherwise.
+// writeRunError maps every error it can return to a response.
+func (s *Server) runJob(parent context.Context, kind string, timeoutMS int, fn func(context.Context) (any, error)) (any, error) {
+	queued, err := s.admit()
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := s.jobContext(parent, timeoutMS)
+	defer cancel()
+	return s.run(ctx, kind, queued, nil, fn)
+}
+
+// startJob admits an async job, registers its pollable record, and runs it
+// on a goroutine of its own. The job outlives its request, so its context
+// derives from the server's base context, which drain cancels.
+func (s *Server) startJob(kind string, timeoutMS int, fn func(context.Context) (any, error)) (*job, error) {
+	queued, err := s.admit()
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := s.jobContext(s.baseCtx, timeoutMS)
+	j := &job{id: s.jobs.nextID(), kind: kind, status: statusQueued, created: time.Now()}
+	s.jobs.put(j)
+	go func() {
+		defer cancel()
+		s.run(ctx, kind, queued, j, fn)
+	}()
+	return j, nil
 }
 
 // writeRunError renders a failed runJob: backpressure shedding (429 with a
 // derived Retry-After, 503 while draining), an expired request deadline
 // (504), a cancelled request (client gone or drain forcing, 503), an input
-// the builder or a prepare step rejects (coincident points, an unknown
-// distribution: 400), and 500 for everything else.
+// the builder or the run's own input step rejects (coincident points, an
+// unknown distribution: 400), and 500 for everything else.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
-		// Retry-After is derived from the queue ahead of the client and
-		// the pool's measured drain rate, not a constant: a briefly full
-		// queue says "come back in a second", a deep one under slow jobs
+		// Retry-After is derived from the waiters ahead of the client and
+		// the slots' measured drain rate, not a constant: a briefly full
+		// server says "come back in a second", a deep wait under slow jobs
 		// says tens of seconds.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
@@ -464,10 +473,10 @@ func (s *Server) buildEncoded(ctx context.Context, kind string, timeoutMS int, r
 // singleflight, and the exact encoded bytes are memoized. digest nil (or
 // the cache disabled) bypasses the cache entirely: build, stream, done —
 // the pre-cache behavior, byte for byte, with no ETag or X-Cache headers.
-// prepare, when not nil, readies what run reads (the node positions) in
-// the handler's goroutine once a build is due, so a cache hit never pays
-// for it; its error is the client's and answers 400.
-func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind string, digest func() (topocache.Key, bool), timeoutMS int, prepare func() error, run func(context.Context) (any, error), encode func(*encodeState, any) error) {
+// run executes on the handler's goroutine and only once a build is due, so
+// it may read the pooled request, and a cache hit never pays for what run
+// readies (the node positions).
+func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind string, digest func() (topocache.Key, bool), timeoutMS int, run func(context.Context) (any, error), encode func(*encodeState, any) error) {
 	if s.cache != nil && digest != nil {
 		span := telemetry.SpanFromContext(r.Context()).Child("server.digest")
 		key, ok := digest()
@@ -482,11 +491,6 @@ func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind str
 				return
 			}
 			entry, src, err := s.cache.GetOrBuild(r.Context(), key, func() (*topocache.Entry, error) {
-				if prepare != nil {
-					if err := prepare(); err != nil {
-						return nil, badRequest{err}
-					}
-				}
 				st, err := s.buildEncoded(r.Context(), kind, timeoutMS, run, encode)
 				if err != nil {
 					return nil, err
@@ -502,12 +506,6 @@ func (s *Server) serveStateless(w http.ResponseWriter, r *http.Request, kind str
 			w.Header().Set("ETag", entry.ETag)
 			w.Header().Set("X-Cache", src.String())
 			writeBody(w, http.StatusOK, entry.Body)
-			return
-		}
-	}
-	if prepare != nil {
-		if err := prepare(); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -530,25 +528,20 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var pts []toporouting.Point // set by prepare, once the cache misses
-	prepare := func() (err error) {
-		pts, err = req.positions()
-		return err
-	}
 	mode := canonicalMode(req.Mode)
 	opts := toporouting.Options{
 		Theta: req.Theta, Range: req.Range, Kappa: req.Kappa, Delta: req.Delta,
 		Telemetry: s.cfg.Telemetry,
 	}
-	// The run closures capture locals, never req: the pooled request struct
-	// is recycled when the handler returns, and a queue-retired job must not
-	// read it. prepare reads req, but runs in the handler before the job.
-	includeEdges := req.IncludeEdges
 	var run func(context.Context) (any, error)
 	switch mode {
 	case "centralized":
 		run = func(ctx context.Context) (any, error) {
 			start := time.Now()
+			pts, err := req.positions()
+			if err != nil {
+				return nil, badRequest{err}
+			}
 			ar := getArena()
 			nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, 0, ar)
 			if err != nil {
@@ -556,15 +549,18 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			return &topologyResult{
-				mode: mode, nw: nw, includeEdges: includeEdges, ar: ar,
+				mode: mode, nw: nw, includeEdges: req.IncludeEdges, ar: ar,
 				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 			}, nil
 		}
 	case "distributed":
-		plan, buildSeed := req.Faults.plan(), req.BuildSeed
 		run = func(ctx context.Context) (any, error) {
 			start := time.Now()
-			nw, rep, err := toporouting.BuildNetworkDistributedAsyncContext(ctx, pts, opts, plan, buildSeed)
+			pts, err := req.positions()
+			if err != nil {
+				return nil, badRequest{err}
+			}
+			nw, rep, err := toporouting.BuildNetworkDistributedAsyncContext(ctx, pts, opts, req.Faults.plan(), req.BuildSeed)
 			if err != nil {
 				return nil, err
 			}
@@ -577,7 +573,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 				Converged: rep.Certificate.Holds(),
 			}
 			return &topologyResult{
-				mode: mode, nw: nw, dist: view, includeEdges: includeEdges,
+				mode: mode, nw: nw, dist: view, includeEdges: req.IncludeEdges,
 				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 			}, nil
 		}
@@ -585,7 +581,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized or distributed)", req.Mode))
 		return
 	}
-	s.serveStateless(w, r, "topology", func() (topocache.Key, bool) { return topologyKey(req, mode) }, req.TimeoutMS, prepare, run, encodeTopology)
+	s.serveStateless(w, r, "topology", func() (topocache.Key, bool) { return topologyKey(req, mode) }, req.TimeoutMS, run, encodeTopology)
 }
 
 // canonicalMode resolves a topology request's mode. One ΘALG build serves
@@ -632,23 +628,21 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var pts []toporouting.Point // set by prepare, once the cache misses
-	prepare := func() (err error) {
-		pts, err = req.positions()
-		return err
-	}
 	opts := toporouting.Options{
 		Theta: req.Theta, Range: req.Range, Delta: req.Delta,
 		Telemetry: s.cfg.Telemetry,
 	}
-	includeTransmission, workers := req.IncludeTransmission, clampWorkers(req.Workers, runtime.GOMAXPROCS(0))
 	run := func(ctx context.Context) (any, error) {
 		start := time.Now()
+		pts, err := req.positions()
+		if err != nil {
+			return nil, badRequest{err}
+		}
 		ar := getArena()
 		// All response values are extracted here, inside the job, so the
 		// arena can be released before the result leaves the closure.
 		defer putArena(ar)
-		nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, workers, ar)
+		nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, clampWorkers(req.Workers, runtime.GOMAXPROCS(0)), ar)
 		if err != nil {
 			return nil, err
 		}
@@ -660,14 +654,14 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if includeTransmission {
+		if req.IncludeTransmission {
 			res.transmissionEdges = len(nw.TransmissionEdges())
 			res.transmissionInterference = nw.TransmissionInterferenceNumber()
 		}
 		res.elapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 		return res, nil
 	}
-	s.serveStateless(w, r, "interference", func() (topocache.Key, bool) { return interferenceKey(req) }, req.TimeoutMS, prepare, run, func(st *encodeState, v any) error {
+	s.serveStateless(w, r, "interference", func() (topocache.Key, bool) { return interferenceKey(req) }, req.TimeoutMS, run, func(st *encodeState, v any) error {
 		encodeInterferenceResult(st, v.(*interferenceResult))
 		return nil
 	})
@@ -738,15 +732,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}, nil
 	}
 	if req.Async {
-		// Async jobs survive the request: parent on the server, not the
-		// connection. Drain still cancels them through baseCtx.
-		j := s.newJob("simulate", s.baseCtx, req.TimeoutMS, run)
-		if err := s.admit(j); err != nil {
-			j.cancel()
+		// An async job outlives the request and its pooled struct, so run
+		// captures locals, never req.
+		j, err := s.startJob("simulate", req.TimeoutMS, run)
+		if err != nil {
 			s.writeRunError(w, err)
 			return
 		}
-		s.jobs.put(j)
 		writeJSON(w, http.StatusAccepted, asyncAccepted{
 			ID:     j.id,
 			Status: string(statusQueued),
@@ -756,7 +748,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Simulation results are deterministic per seed but bulky and rarely
 	// repeated; they stream through the pooled encoder without the cache.
-	s.serveStateless(w, r, "simulate", nil, req.TimeoutMS, nil, run, encodeJSONValue)
+	s.serveStateless(w, r, "simulate", nil, req.TimeoutMS, run, encodeJSONValue)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -787,7 +779,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics serves the telemetry scope in the Prometheus text
 // exposition format (the default, what a scraper expects) or as the legacy
 // JSON snapshot when ?format=json is given. Point-in-time server state —
-// queue depth, busy workers, in-flight jobs, uptime — is stamped into the
+// waiting jobs, held slots, in-flight jobs, uptime — is stamped into the
 // scope as gauges at scrape time so the exposition carries current values
 // rather than whatever the last admit observed.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -804,8 +796,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !tel.Enabled() {
 		return // empty exposition is valid
 	}
-	tel.Gauge("server.queue_depth").Set(float64(len(s.queue)))
-	tel.Gauge("server.workers_busy").Set(float64(s.busy.Load()))
+	tel.Gauge("server.queue_depth").Set(float64(s.waiting.Load()))
+	tel.Gauge("server.workers_busy").Set(float64(len(s.slots)))
 	tel.Gauge("server.workers").Set(float64(s.cfg.Workers))
 	tel.Gauge("server.in_flight").Set(float64(s.active.Load()))
 	tel.Gauge("server.uptime_seconds").Set(time.Since(s.start).Seconds())
@@ -860,18 +852,15 @@ wait:
 		}
 	}
 	if forced {
-		// Grace expired: cancel every in-flight context and wait for the
-		// per-step checks to observe it.
+		// Grace expired: cancel every in-flight context (a waiting job
+		// leaves at once) and wait for the per-step checks to observe it.
 		s.baseCancel()
-		s.jobs.cancelAll()
 		for s.active.Load() > 0 {
 			<-tick.C
 		}
 	}
-	close(s.stop)
-	s.wg.Wait()
 	s.baseCancel()
-	// Sessions close after the job pool has drained (a session create may
+	// Sessions close after every job has finished (a session create may
 	// be in flight until then) and before the sink flushes, so the final
 	// applies and watcher disconnects are observable in the trace output.
 	s.cluster.Close()

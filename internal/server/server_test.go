@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"toporouting"
+	"toporouting/internal/session"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -49,11 +52,11 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
-// blockJob admits a job that parks until release is closed (or its context
-// dies), deterministically occupying a worker slot or queue position.
+// blockJob starts an async job that parks until release is closed (or its
+// context dies), deterministically occupying a slot or a waiting place.
 func blockJob(t *testing.T, s *Server, release <-chan struct{}) *job {
 	t.Helper()
-	j := s.newJob("block", context.Background(), 0, func(ctx context.Context) (any, error) {
+	j, err := s.startJob("block", 0, func(ctx context.Context) (any, error) {
 		select {
 		case <-release:
 			return "released", nil
@@ -61,7 +64,7 @@ func blockJob(t *testing.T, s *Server, release <-chan struct{}) *job {
 			return nil, ctx.Err()
 		}
 	})
-	if err := s.admit(j); err != nil {
+	if err != nil {
 		t.Fatalf("admit blocking job: %v", err)
 	}
 	return j
@@ -293,6 +296,126 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("healthz under load: %v %v", hr, err)
 	}
 	hr.Body.Close()
+}
+
+// TestNewStartsNoGoroutine pins that admission is a semaphore, not a pool:
+// building a server with eight slots (and no session sweeper) starts no
+// goroutine.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 8, Sessions: session.Config{IdleTTL: -1}})
+	after := runtime.NumGoroutine()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if after > before {
+		t.Fatalf("New started %d goroutines, want none", after-before)
+	}
+}
+
+// TestAbandonedWaiterLeaves pins that a synchronous request whose client
+// leaves while it waits for a slot gives its waiting place back at once,
+// instead of holding it until a slot frees: the next request is admitted,
+// not shed.
+func TestAbandonedWaiterLeaves(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
+	running := blockJob(t, s, release) // holds the only slot
+	waitFor(t, time.Second, func() bool { return running.currentStatus() == statusRunning })
+
+	post := func(ctx context.Context, seed int) (int, error) {
+		body, _ := json.Marshal(map[string]any{"dist": "uniform", "n": 20, "seed": seed})
+		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/topology", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := post(ctx, 1)
+		abandoned <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return s.InFlight() == 2 }) // waiting behind the blocker
+	cancel()
+	if err := <-abandoned; err == nil {
+		t.Fatal("abandoned request should have failed with context.Canceled")
+	}
+	waitFor(t, time.Second, func() bool { return s.InFlight() == 1 })
+
+	next := make(chan int, 1)
+	go func() {
+		code, err := post(context.Background(), 2)
+		if err != nil {
+			t.Error(err)
+		}
+		next <- code
+	}()
+	waitFor(t, 5*time.Second, func() bool { return s.InFlight() == 2 || len(next) > 0 })
+	free()
+	if code := <-next; code != http.StatusOK {
+		t.Fatalf("request after the abandoned one: status %d, want 200", code)
+	}
+}
+
+// TestSlotsBoundConcurrency hammers admission from many goroutines: no
+// more than Workers jobs ever run at once, every call is either run or
+// shed, and the slots and waiting places all come back.
+func TestSlotsBoundConcurrency(t *testing.T) {
+	const workers, callers = 2, 24
+	s := New(Config{Workers: workers, QueueDepth: 4, Sessions: session.Config{IdleTTL: -1}})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	var (
+		mu            sync.Mutex
+		running, peak int
+		ran, shed     atomic.Int64
+		wg            sync.WaitGroup
+	)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := s.runJob(context.Background(), "probe", 0, func(context.Context) (any, error) {
+				mu.Lock()
+				running++
+				peak = max(peak, running)
+				mu.Unlock()
+				time.Sleep(2 * time.Millisecond)
+				mu.Lock()
+				running--
+				mu.Unlock()
+				return nil, nil
+			})
+			switch {
+			case err == nil:
+				ran.Add(1)
+			case errors.Is(err, errQueueFull):
+				shed.Add(1)
+			default:
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if peak > workers {
+		t.Fatalf("%d jobs ran at once, want at most %d", peak, workers)
+	}
+	if ran.Load() == 0 || ran.Load()+shed.Load() != callers {
+		t.Fatalf("ran %d + shed %d, want %d calls with at least one run", ran.Load(), shed.Load(), callers)
+	}
+	if s.InFlight() != 0 || s.waiting.Load() != 0 || len(s.slots) != 0 {
+		t.Fatalf("after the calls: in flight %d, waiting %d, slots held %d, want 0", s.InFlight(), s.waiting.Load(), len(s.slots))
+	}
 }
 
 // TestDisconnectCancelsJob verifies deadline propagation: a client that

@@ -110,8 +110,8 @@ func retryAfterCeil(d time.Duration) int {
 }
 
 // handleSessionCreate builds and registers a hosted topology. The build
-// runs as a job through the admission queue — it is the same order of work
-// as POST /v1/topology and must compete for the same workers.
+// runs as a job behind admission — it is the same order of work as
+// POST /v1/topology and must compete for the same slots.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionCreateRequest
 	if !decodeJSON(w, r, &req) {
@@ -161,7 +161,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // handleSessionEvents applies an NDJSON stream of join/leave/move events,
 // echoing one ApplyResult line per event. Event streams are not jobs: each
 // event is sub-millisecond local repair work serialized by the session's
-// own mutex, so routing them through the worker pool would cost a queue
+// own mutex, so taking a job slot per event would cost an admission
 // round-trip per event for no isolation gain. The stream respects drain
 // (stops at the next event once the server starts draining) and paces
 // itself against the tenant's token bucket — admission charges the first
@@ -313,7 +313,8 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // current generation (the watcher snapshots at that generation and applies
 // deltas from there). When the watcher falls behind or the session closes,
 // the stream ends — the client's signal to resync from a snapshot. A
-// stale-bounded replica serves the stream when one is available.
+// replica serves the stream when one is available; it applies each record
+// before the primary acks it, so it is never behind.
 //
 // Every write carries a deadline (Config.WatchWriteTimeout): a subscriber
 // that stops reading blocks its handler in the kernel send buffer, and an
@@ -399,8 +400,8 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 
 // handleClusterKill hard-stops one shard (?shard=N) — the in-process
 // equivalent of SIGKILLing its host. Nothing is recovered from the dead
-// shard itself: its sessions fail over from their replica logs (or are
-// lost, and counted, when unreplicated). Fault-injection surface for the
+// shard itself: its sessions fail over from a checkpoint of one of their
+// mirrors (or are lost, and counted, when unreplicated). Fault-injection surface for the
 // rebalance smoke; the response reports what moved.
 func (s *Server) handleClusterKill(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.URL.Query().Get("shard"))

@@ -11,7 +11,7 @@ import (
 // Span tracing: a request-scoped complement to the process-global
 // instruments in this package. A Tracer mints one trace per root span;
 // child spans ride a context.Context through the serving stack (admission
-// queue, worker pool, ΘALG build phases, the distributed engine, the
+// wait, job run, ΘALG build phases, the distributed engine, the
 // simulation loop), so one HTTP request yields one span tree. Finished
 // traces land in a bounded TraceRing (served at /debug/traces) and, when
 // the Tracer's Telemetry scope has a sink, are exported to the JSONL
@@ -148,8 +148,8 @@ func StartChild(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // Child begins a span named name under s without threading a context;
-// useful when the parent is tracked explicitly (the admission queue holds
-// its wait span on the job). Nil-safe.
+// useful for a span that ends before any callee could want it as a parent
+// (the admission wait, request decode, cache digest). Nil-safe.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
