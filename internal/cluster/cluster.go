@@ -9,6 +9,11 @@
 // its bounded delta window, so moving or re-replicating one costs
 // O(session), never O(cluster).
 //
+// The shard registries are the only index of hosted sessions. A session
+// always lives on its tenant's ring owner, so placement is derived from
+// the ring, and a session's mirrors are its replicator, closed with it:
+// the cluster keeps no state per session.
+//
 // Concurrency is three kinds of mutex, always taken in this order:
 // Cluster.mu (placement), a session's lock, a replica's lock. Neither a
 // session nor a mirror runs a goroutine.
@@ -53,28 +58,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is one registry instance plus the replica mirrors it hosts for
-// sessions whose primaries live elsewhere.
+// shard is one registry instance. The mirrors it holds are reachable only
+// through their sessions (see mirrorSet).
 type shard struct {
-	id      int
-	reg     *session.Registry
-	alive   bool
-	mirrors map[string]*replica
-}
-
-// route is the placement record of one hosted session: which shard owns
-// writes, and the mirrors serving reads.
-type route struct {
-	tenant  string
-	primary int
-	mirrors []*replica
+	id    int
+	reg   *session.Registry
+	alive bool
 }
 
 // Cluster is the sharded session layer: tenant-consistent-hash placement,
 // write routing to shard primaries, replica reads, and checkpoint-based
-// failover when a shard dies. A mirror applies each record inside its
-// primary's apply, so a replica read always sees every acknowledged
-// write, and hosting a session or a mirror starts no goroutine.
+// failover when a shard dies. A session is found by a ring walk to its
+// tenant's owner plus one registry lookup. A mirror applies each record
+// inside its primary's apply, so a replica read always sees every
+// acknowledged write, and hosting a session or a mirror starts no
+// goroutine.
 type Cluster struct {
 	cfg      Config
 	ringSize int // resolved per-session delta-ring size for mirrors
@@ -82,7 +80,6 @@ type Cluster struct {
 	mu     sync.RWMutex
 	shards []*shard
 	ring   *hashRing
-	routes map[string]*route
 	closed bool
 
 	tel *telemetry.Telemetry
@@ -108,7 +105,6 @@ func New(cfg Config) *Cluster {
 		cfg:      cfg,
 		ringSize: ringSize,
 		shards:   make([]*shard, cfg.Shards),
-		routes:   make(map[string]*route),
 		tel:      cfg.Session.Telemetry,
 	}
 	ids := make([]int, cfg.Shards)
@@ -117,12 +113,7 @@ func New(cfg Config) *Cluster {
 		if cfg.Shards > 1 {
 			scfg.IDPrefix = fmt.Sprintf("s%d-", i)
 		}
-		c.shards[i] = &shard{
-			id:      i,
-			reg:     session.NewRegistry(scfg),
-			alive:   true,
-			mirrors: make(map[string]*replica),
-		}
+		c.shards[i] = &shard{id: i, reg: session.NewRegistry(scfg), alive: true}
 		ids[i] = i
 	}
 	c.ring = newRing(ids)
@@ -135,19 +126,10 @@ func New(cfg Config) *Cluster {
 // Create hosts a topology for tenant on its ring-owner shard and attaches
 // the session's replica set.
 func (c *Cluster) Create(ctx context.Context, tenant string, pts []geom.Point, spec session.BuildSpec) (*session.Session, error) {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return nil, session.ErrClosed
+	primary, err := c.tenantShard(tenant)
+	if err != nil {
+		return nil, err
 	}
-	owners := c.ring.owners(tenant, 1)
-	if len(owners) == 0 {
-		c.mu.RUnlock()
-		return nil, session.ErrClosed
-	}
-	primary := c.shards[owners[0]]
-	c.mu.RUnlock()
-
 	// The build runs on the shard registry outside the cluster lock — it
 	// can take seconds at large n and must not stall routing.
 	s, err := primary.reg.Create(ctx, tenant, pts, spec)
@@ -161,145 +143,96 @@ func (c *Cluster) Create(ctx context.Context, tenant string, pts []geom.Point, s
 		// its registry already closed the session. Surface as a drain.
 		return nil, session.ErrClosed
 	}
-	c.reapLocked()
-	if err := c.attachLocked(s, tenant, primary.id); err != nil {
+	// A kill of another shard meanwhile moved none of this tenant's keys,
+	// so primary is still its ring owner.
+	if err := c.attachLocked(s); err != nil {
 		primary.reg.Delete(tenant, s.ID)
 		return nil, err
 	}
 	return s, nil
 }
 
-// attachLocked wires a session's replica set: one mirror on each of the
-// next Replicas alive ring owners after the primary, initialized from a
-// checkpoint taken under the session lock together with the hookup, so no
-// record is lost between capture and hookup.
-// Caller holds c.mu.
-func (c *Cluster) attachLocked(s *session.Session, tenant string, primary int) error {
-	var mirrors []*replica
-	err := s.Rewire(context.Background(), func(cp *session.Checkpoint) func(session.DeltaRecord) {
-		for _, si := range c.ring.owners(tenant, 1+c.cfg.Replicas) {
-			if si == primary {
-				continue
-			}
-			mirrors = append(mirrors, newReplica(si, cp, c.ringSize))
-		}
-		if len(mirrors) == 0 {
-			return nil
-		}
-		ms := mirrors
-		return func(rec session.DeltaRecord) {
-			for _, m := range ms {
-				m.append(rec)
-			}
-		}
-	})
-	if err != nil {
-		closeAll(mirrors)
-		return err
-	}
-	for _, m := range mirrors {
-		c.shards[m.shard].mirrors[s.ID] = m
-	}
-	c.routes[s.ID] = &route{tenant: tenant, primary: primary, mirrors: mirrors}
-	return nil
-}
+// mirrorSet is a session's replica set, installed as its replicator: one
+// mirror on each of the Replicas ring owners after the primary. It lives
+// as long as the session's wiring does: the session closes it when it
+// closes, and Rewire when it installs the next set.
+type mirrorSet []*replica
 
-// lookup resolves id to its route and primary shard under the read lock.
-func (c *Cluster) lookup(tenant, id string) (*route, *shard, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return nil, nil, session.ErrClosed
-	}
-	rt, ok := c.routes[id]
-	if !ok || rt.tenant != tenant {
-		return nil, nil, session.ErrNotFound
-	}
-	return rt, c.shards[rt.primary], nil
-}
-
-// primary resolves id to its route and its primary session. The registry
-// lookup doubles as the liveness/TTL check: a session its shard's sweeper
-// evicted has its route dropped, so no mirror serves it afterwards.
-func (c *Cluster) primary(tenant, id string) (*route, *session.Session, error) {
-	rt, sh, err := c.lookup(tenant, id)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := sh.reg.Get(tenant, id)
-	if err == session.ErrNotFound {
-		c.dropRoute(id)
-	}
-	return rt, s, err
-}
-
-// Get returns tenant's session handle for writes (event application).
-func (c *Cluster) Get(tenant, id string) (*session.Session, error) {
-	_, s, err := c.primary(tenant, id)
-	return s, err
-}
-
-// Delete ends tenant's session id and tears down its mirrors.
-func (c *Cluster) Delete(tenant, id string) error {
-	_, sh, err := c.lookup(tenant, id)
-	if err != nil {
-		return err
-	}
-	err = sh.reg.Delete(tenant, id)
-	c.dropRoute(id)
-	return err
-}
-
-// dropRoute removes id's placement record and closes its mirrors.
-func (c *Cluster) dropRoute(id string) {
-	var mirrors []*replica
-	c.mu.Lock()
-	if rt, ok := c.routes[id]; ok {
-		mirrors = c.unrouteLocked(id, rt)
-	}
-	c.mu.Unlock()
-	closeAll(mirrors)
-}
-
-// unrouteLocked removes id's placement record and its mirrors' shard
-// entries, returning the mirrors for the caller to close. Caller holds
-// c.mu.
-func (c *Cluster) unrouteLocked(id string, rt *route) []*replica {
-	for _, m := range rt.mirrors {
-		delete(c.shards[m.shard].mirrors, id)
-	}
-	delete(c.routes, id)
-	return rt.mirrors
-}
-
-// reapLocked drops the route of every session its primary no longer hosts
-// and closes the route's mirrors. A shard's registry evicts idle sessions
-// without telling the cluster, so without this an evicted session's
-// mirrors — full copies of it — would outlive it, and a kill of its old
-// shard would promote it back. Caller holds c.mu.
-func (c *Cluster) reapLocked() {
-	for id, rt := range c.routes {
-		if _, err := c.shards[rt.primary].reg.Get(rt.tenant, id); err == session.ErrNotFound {
-			closeAll(c.unrouteLocked(id, rt))
-		}
+// Append implements session.Replicator.
+func (ms mirrorSet) Append(rec session.DeltaRecord) {
+	for _, m := range ms {
+		m.append(rec)
 	}
 }
 
-func closeAll(mirrors []*replica) {
-	for _, m := range mirrors {
+// Close implements session.Replicator.
+func (ms mirrorSet) Close() {
+	for _, m := range ms {
 		m.close()
 	}
 }
 
-// EncodeSince serves a conditional read, preferring an alive replica and
-// falling back to the primary otherwise. source reports which served
-// ("replica" or "primary").
+// on reports whether one of the set's mirrors lives on shard i.
+func (ms mirrorSet) on(i int) bool {
+	for _, m := range ms {
+		if m.shard == i {
+			return true
+		}
+	}
+	return false
+}
+
+// mirrorsOf returns s's mirror set; attached is false until Create or a
+// promotion has installed one.
+func mirrorsOf(s *session.Session) (ms mirrorSet, attached bool) {
+	ms, attached = s.Replicator().(mirrorSet)
+	return ms, attached
+}
+
+// attachLocked wires s's replica set on its tenant's current ring owners
+// after the primary, initialized from a checkpoint taken under the session
+// lock together with the hookup, so no record is lost between capture and
+// hookup. The set replaces, and closes, the one installed before; it is
+// installed even when empty, which marks s as attached. s must be hosted
+// on its tenant's ring owner. Caller holds c.mu.
+func (c *Cluster) attachLocked(s *session.Session) error {
+	return s.Rewire(context.Background(), func(cp *session.Checkpoint) session.Replicator {
+		var ms mirrorSet
+		for _, si := range c.ring.owners(s.Tenant, 1+c.cfg.Replicas)[1:] {
+			ms = append(ms, newReplica(si, cp, c.ringSize))
+		}
+		return ms
+	})
+}
+
+// Get returns tenant's session handle for writes (event application).
+func (c *Cluster) Get(tenant, id string) (*session.Session, error) {
+	sh, err := c.tenantShard(tenant)
+	if err != nil {
+		return nil, err
+	}
+	return sh.reg.Get(tenant, id)
+}
+
+// Delete ends tenant's session id; the session closes its mirrors.
+func (c *Cluster) Delete(tenant, id string) error {
+	sh, err := c.tenantShard(tenant)
+	if err != nil {
+		return err
+	}
+	return sh.reg.Delete(tenant, id)
+}
+
+// EncodeSince serves a conditional read from the first of the session's
+// mirrors that answers, falling back to the primary. source reports which
+// served ("replica" or "primary").
 func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int64, buf *bytes.Buffer) (outcome session.GetOutcome, gen int64, source string, err error) {
-	rt, s, err := c.primary(tenant, id)
+	s, err := c.Get(tenant, id)
 	if err != nil {
 		return session.FullServed, 0, "", err
 	}
-	if m := c.pickReplica(rt); m != nil {
+	ms, _ := mirrorsOf(s)
+	for _, m := range ms {
 		if out, g, ok := m.tryEncodeSince(since, buf); ok {
 			s.Touch()
 			if c.tel.Enabled() {
@@ -319,15 +252,17 @@ func (c *Cluster) EncodeSince(ctx context.Context, tenant, id string, since int6
 	return out, g, "primary", err
 }
 
-// Subscribe attaches a watch, served from a replica when one is available
-// (its applies push the same records the primary would), falling back to
-// the primary session.
+// Subscribe attaches a watch, served from the first of the session's
+// mirrors that accepts it (its applies push the same records the primary
+// would), falling back to the primary session. Either way the watch ends
+// when the session closes.
 func (c *Cluster) Subscribe(ctx context.Context, tenant, id string, buffer int) (<-chan session.DeltaRecord, int64, func(), string, error) {
-	rt, s, err := c.primary(tenant, id)
+	s, err := c.Get(tenant, id)
 	if err != nil {
 		return nil, 0, nil, "", err
 	}
-	if m := c.pickReplica(rt); m != nil {
+	ms, _ := mirrorsOf(s)
+	for _, m := range ms {
 		if ch, gen, cancel, ok := m.subscribe(buffer); ok {
 			s.Touch()
 			return ch, gen, cancel, "replica", nil
@@ -335,18 +270,6 @@ func (c *Cluster) Subscribe(ctx context.Context, tenant, id string, buffer int) 
 	}
 	ch, gen, cancel, err := s.Subscribe(ctx, buffer)
 	return ch, gen, cancel, "primary", err
-}
-
-// pickReplica returns the first alive mirror of rt, or nil.
-func (c *Cluster) pickReplica(rt *route) *replica {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, m := range rt.mirrors {
-		if c.shards[m.shard].alive {
-			return m
-		}
-	}
-	return nil
 }
 
 // AdmitEvents charges one event token against tenant's owner shard.
@@ -368,17 +291,24 @@ func (c *Cluster) WaitEvent(ctx context.Context, tenant string) error {
 	return sh.reg.WaitEvent(ctx, tenant)
 }
 
+// tenantShard returns tenant's ring-owner shard, the one that hosts every
+// session of tenant.
 func (c *Cluster) tenantShard(tenant string) (*shard, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.ownerLocked(tenant)
+}
+
+// ownerLocked returns tenant's ring-owner shard. Caller holds c.mu.
+func (c *Cluster) ownerLocked(tenant string) (*shard, error) {
 	if c.closed {
 		return nil, session.ErrClosed
 	}
-	owners := c.ring.owners(tenant, 1)
-	if len(owners) == 0 {
+	i, ok := c.ring.owner(tenant)
+	if !ok {
 		return nil, session.ErrClosed
 	}
-	return c.shards[owners[0]], nil
+	return c.shards[i], nil
 }
 
 // Live reports hosted sessions across alive shards.
@@ -409,19 +339,27 @@ type Status struct {
 	Sessions int           `json:"sessions"`
 }
 
-// Status reports shard liveness and session placement, reaping the routes
-// of evicted sessions first so it counts only hosted ones.
+// Status reports shard liveness, the sessions each alive shard hosts, and
+// the mirrors each shard holds for them.
 func (c *Cluster) Status() Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reapLocked()
-	st := Status{Replicas: c.cfg.Replicas, Sessions: len(c.routes)}
-	for _, sh := range c.shards {
-		row := ShardStatus{ID: sh.id, Alive: sh.alive, Mirrors: len(sh.mirrors)}
-		if sh.alive {
-			row.Sessions = sh.reg.Live()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	st := Status{Replicas: c.cfg.Replicas, Shards: make([]ShardStatus, len(c.shards))}
+	for i, sh := range c.shards {
+		st.Shards[i].ID, st.Shards[i].Alive = sh.id, sh.alive
+	}
+	for i, sh := range c.shards {
+		if !sh.alive {
+			continue
 		}
-		st.Shards = append(st.Shards, row)
+		for _, s := range sh.reg.Sessions() {
+			st.Shards[i].Sessions++
+			st.Sessions++
+			ms, _ := mirrorsOf(s)
+			for _, m := range ms {
+				st.Shards[m.shard].Mirrors++
+			}
+		}
 	}
 	return st
 }
@@ -472,27 +410,30 @@ func (c *Cluster) Kill(i int) (RebalanceStats, error) {
 	}
 
 	// Read the dying registry's membership while it still answers: a
-	// session it already evicted is dropped here, never promoted.
-	c.reapLocked()
+	// session it already evicted is not listed, so it is never promoted.
+	doomed := sh.reg.Sessions()
 	sh.alive = false
 	c.ring = newRing(c.aliveIDsLocked())
 	// Close the dead shard's sessions before recovery so they cannot ack
 	// further events: everything acked up to this point is on the mirrors,
-	// everything after the kill is refused.
+	// everything after the kill is refused. A closed session's mirrors
+	// stop applying but keep their state.
 	sh.reg.Close()
-	deadMirrors := sh.mirrors
-	sh.mirrors = make(map[string]*replica)
-
-	for id, rt := range c.routes {
-		switch {
-		case rt.primary == i:
-			c.promoteLocked(id, rt, &st)
-		case c.routeLostMirrorLocked(rt, i):
-			c.rereplicateLocked(id, rt, &st)
-		}
+	for _, s := range doomed {
+		c.promoteLocked(s, &st)
 	}
-	for _, m := range deadMirrors {
-		m.close()
+	// The ring lost only shard i's keys, so every other session is still
+	// on its tenant's owner; one that had a mirror on shard i gets a fresh
+	// set, and Rewire closes the old one.
+	for _, live := range c.shards {
+		if !live.alive {
+			continue
+		}
+		for _, s := range live.reg.Sessions() {
+			if ms, _ := mirrorsOf(s); ms.on(i) && c.attachLocked(s) == nil {
+				st.Rereplicated++
+			}
+		}
 	}
 	if c.tel.Enabled() {
 		c.tel.Counter("cluster.failovers").Inc()
@@ -513,40 +454,37 @@ func (c *Cluster) aliveIDsLocked() []int {
 	return ids
 }
 
-func (c *Cluster) routeLostMirrorLocked(rt *route, dead int) bool {
-	for _, m := range rt.mirrors {
-		if m.shard == dead {
-			return true
-		}
+// promoteLocked fails over one session of a killed shard: checkpoint its
+// first mirror on an alive shard (it holds every acked generation), round-
+// trip the checkpoint through its serialized form (the same path a
+// networked deployment would take), restore on the tenant's new ring
+// owner, and attach a fresh mirror set. A session with no surviving mirror
+// is lost. Caller holds c.mu.
+func (c *Cluster) promoteLocked(s *session.Session, st *RebalanceStats) {
+	ms, attached := mirrorsOf(s)
+	if !attached {
+		return // its Create has not returned it and now fails with ErrClosed
 	}
-	return false
-}
-
-// promoteLocked fails a session over: checkpoint the first surviving
-// replica (it holds every acked generation), round-trip the checkpoint
-// through its serialized form (the same path a networked deployment would
-// take), restore on the new ring owner, and attach a fresh mirror set.
-func (c *Cluster) promoteLocked(id string, rt *route, st *RebalanceStats) {
 	var src *replica
-	for _, m := range rt.mirrors {
+	for _, m := range ms {
 		if c.shards[m.shard].alive {
 			src = m
 			break
 		}
 	}
 	if src == nil {
-		c.loseLocked(id, rt, st)
+		st.Lost++
 		return
 	}
 	t0 := time.Now()
 	raw, err := src.checkpoint().Encode()
 	if err != nil {
-		c.loseLocked(id, rt, st)
+		st.Lost++
 		return
 	}
 	cp, err := session.DecodeCheckpoint(raw)
 	if err != nil {
-		c.loseLocked(id, rt, st)
+		st.Lost++
 		return
 	}
 	if c.tel.Enabled() {
@@ -554,48 +492,26 @@ func (c *Cluster) promoteLocked(id string, rt *route, st *RebalanceStats) {
 		c.tel.BucketHistogram("cluster.checkpoint_ms", telemetry.DefLatencyBuckets).
 			Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	}
-	owners := c.ring.owners(rt.tenant, 1)
-	if len(owners) == 0 {
-		c.loseLocked(id, rt, st)
-		return
-	}
-	s, err := c.shards[owners[0]].reg.Restore(context.Background(), cp)
+	owner, err := c.ownerLocked(s.Tenant)
 	if err != nil {
-		c.loseLocked(id, rt, st)
+		st.Lost++
 		return
 	}
-	oldMirrors := c.unrouteLocked(id, rt)
-	if err := c.attachLocked(s, rt.tenant, owners[0]); err != nil {
-		c.shards[owners[0]].reg.Delete(rt.tenant, id)
+	restored, err := owner.reg.Restore(context.Background(), cp)
+	if err != nil {
 		st.Lost++
-	} else {
-		st.Moved++
+		return
 	}
-	closeAll(oldMirrors)
-}
-
-// loseLocked drops a session whose state cannot be recovered.
-func (c *Cluster) loseLocked(id string, rt *route, st *RebalanceStats) {
-	closeAll(c.unrouteLocked(id, rt))
-	st.Lost++
-}
-
-// rereplicateLocked rebuilds the mirror set of a session whose primary
-// survived but whose replica set lost a shard: a fresh checkpoint, taken
-// under the session lock, seeds the new mirrors (dead ones are simply
-// discarded — the Kill path closes them).
-func (c *Cluster) rereplicateLocked(id string, rt *route, st *RebalanceStats) {
-	sh := c.shards[rt.primary]
-	s, err := sh.reg.Get(rt.tenant, id)
-	oldMirrors := c.unrouteLocked(id, rt)
-	// A session evicted between placement and now just loses its route.
-	if err == nil && c.attachLocked(s, rt.tenant, rt.primary) == nil {
-		st.Rereplicated++
+	if err := c.attachLocked(restored); err != nil {
+		owner.reg.Delete(s.Tenant, s.ID)
+		st.Lost++
+		return
 	}
-	closeAll(oldMirrors) // idempotent for the dead-shard mirror Kill also closes
+	st.Moved++
 }
 
-// Close drains every shard and mirror. Safe to call more than once.
+// Close drains every shard; each closing session closes its mirrors. Safe
+// to call more than once.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -603,14 +519,8 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	shards := c.shards
-	routes := c.routes
-	c.routes = make(map[string]*route)
 	c.mu.Unlock()
-	for _, sh := range shards {
+	for _, sh := range c.shards {
 		sh.reg.Close()
-	}
-	for _, rt := range routes {
-		closeAll(rt.mirrors)
 	}
 }

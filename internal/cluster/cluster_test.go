@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -43,13 +44,15 @@ func clusterCreate(t *testing.T, c *Cluster, tenant string, n int, seed int64) *
 // in the package so they can reach placement state the API hides).
 func firstMirror(t testing.TB, c *Cluster, id string) *replica {
 	t.Helper()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rt := c.routes[id]
-	if rt == nil || len(rt.mirrors) == 0 {
-		t.Fatalf("session %s has no mirrors", id)
+	for _, sh := range c.shards {
+		for _, s := range sh.reg.Sessions() {
+			if ms, _ := mirrorsOf(s); s.ID == id && len(ms) > 0 {
+				return ms[0]
+			}
+		}
 	}
-	return rt.mirrors[0]
+	t.Fatalf("session %s has no mirrors", id)
+	return nil
 }
 
 func TestClusterCreateGetDeleteAcrossShards(t *testing.T) {
@@ -128,9 +131,7 @@ func TestReplicaReadEquivalence(t *testing.T) {
 				applyBoth(t, s, want, rng, tc.events, tc.mixed)
 				requireReplicaReads(t, c, s)
 
-				c.mu.RLock()
-				victim := c.routes[s.ID].primary
-				c.mu.RUnlock()
+				victim, _ := c.ring.owner("acme")
 				if rb, err := c.Kill(victim); err != nil || rb.Moved != 1 {
 					t.Fatalf("Kill(%d): %+v, %v", victim, rb, err)
 				}
@@ -502,4 +503,243 @@ func TestKillLastShardRefused(t *testing.T) {
 	if _, err := c.Kill(7); err == nil {
 		t.Fatal("killed a shard that does not exist")
 	}
+}
+
+// mirrorState reads a mirror's generation and whether it is still open.
+func mirrorState(m *replica) (gen int64, open bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.feed.Gen(), !m.closed
+}
+
+// TestEvictionClosesMirrors pins that a session's mirrors live exactly as
+// long as the session: once the idle sweeper has evicted every session,
+// every mirror taken before the eviction closes, with no further call into
+// the cluster to notice it.
+func TestEvictionClosesMirrors(t *testing.T) {
+	const tenants = 8
+	c := testCluster(t, Config{Shards: 4, Replicas: 2, Session: session.Config{IdleTTL: 40 * time.Millisecond}})
+	var mirrors []*replica
+	for i := 0; i < tenants; i++ {
+		s := clusterCreate(t, c, fmt.Sprintf("tenant-%d", i), 60, int64(i))
+		ms, _ := mirrorsOf(s)
+		if len(ms) != 2 {
+			t.Fatalf("session %s has %d mirrors, want 2", s.ID, len(ms))
+		}
+		mirrors = append(mirrors, ms...)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Live() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still live after 5 s with a 40 ms idle TTL", c.Live())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The sweeper closes what it evicted just after Live drops, so give it
+	// a moment.
+	deadline = time.Now().Add(2 * time.Second)
+	for {
+		open := 0
+		for _, m := range mirrors {
+			if _, ok := mirrorState(m); ok {
+				open++
+			}
+		}
+		if open == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d mirrors still open 2 s after their sessions were evicted", open, len(mirrors))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMirrorWatchEndsAtEviction pins that a watch a mirror serves ends when
+// its session is evicted, as a primary-served watch does.
+func TestMirrorWatchEndsAtEviction(t *testing.T) {
+	c := testCluster(t, Config{Shards: 3, Replicas: 1, Session: session.Config{IdleTTL: 40 * time.Millisecond}})
+	s := clusterCreate(t, c, "acme", 60, 1)
+	ch, _, cancel, source, err := c.Subscribe(context.Background(), "acme", s.ID, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if source != "replica" {
+		t.Fatalf("watch served by %q, want replica", source)
+	}
+	timeout := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-ch:
+			if !ok {
+				return
+			}
+		case <-timeout:
+			t.Fatal("mirror-served watch still open 2 s after a 40 ms idle TTL")
+		}
+	}
+}
+
+// TestPlacementProperty runs seeded random sequences of create, event,
+// delete, read and kill over eight tenants and checks, after every step,
+// the invariant the cluster's lookups rest on: every hosted session lives
+// on its tenant's ring owner, with exactly min(Replicas, alive-1) open
+// mirrors on the next ring owners, each at the primary's generation; a
+// mirror no session holds any more is closed; the status counts what the
+// registries host; and a deleted session answers ErrNotFound everywhere.
+func TestPlacementProperty(t *testing.T) {
+	const (
+		tenants = 8
+		nodes   = 30
+		steps   = 120
+	)
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			c := testCluster(t, Config{Shards: 4, Replicas: 2, Session: session.Config{IdleTTL: -1}})
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(seed))
+			live := map[string]string{} // session id → tenant
+			gone := map[string]string{}
+			var held map[*replica]bool // the mirrors the sessions held after the last step
+			pick := func() (id, tenant string) {
+				ids := make([]string, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				sort.Strings(ids)
+				id = ids[rng.Intn(len(ids))]
+				return id, live[id]
+			}
+			for step := 0; step < steps; step++ {
+				op := rng.Intn(40)
+				switch {
+				case op < 12 || len(live) == 0:
+					tn := fmt.Sprintf("tenant-%d", rng.Intn(tenants))
+					s := clusterCreate(t, c, tn, nodes, rng.Int63())
+					live[s.ID] = tn
+				case op < 24:
+					id, tn := pick()
+					s, err := c.Get(tn, id)
+					if err != nil {
+						t.Fatalf("step %d: Get(%s): %v", step, id, err)
+					}
+					ev := session.Event{Op: "move", Node: rng.Intn(nodes), X: rng.Float64(), Y: rng.Float64()}
+					if res, err := s.Apply(ctx, ev); err != nil || res.Err != "" {
+						t.Fatalf("step %d: apply to %s: %v / %s", step, id, err, res.Err)
+					}
+				case op < 30:
+					id, tn := pick()
+					if err := c.Delete(tn, id); err != nil {
+						t.Fatalf("step %d: Delete(%s): %v", step, id, err)
+					}
+					delete(live, id)
+					gone[id] = tn
+				case op < 39:
+					id, tn := pick()
+					s, err := c.Get(tn, id)
+					if err != nil {
+						t.Fatalf("step %d: Get(%s): %v", step, id, err)
+					}
+					gen, err := s.Gen(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := "replica"
+					if len(c.aliveIDsLocked()) == 1 {
+						want = "primary" // no shard left for a mirror
+					}
+					var buf bytes.Buffer
+					since := rng.Int63n(gen+2) - 1 // a cursor in [-1, gen]
+					if _, g, source, err := c.EncodeSince(ctx, tn, id, since, &buf); err != nil || source != want || g != gen {
+						t.Fatalf("step %d: read %s since %d: source %q, gen %d (primary %d), %v; want %s", step, id, since, source, g, gen, err, want)
+					}
+				default:
+					var alive []int
+					for _, row := range c.Status().Shards {
+						if row.Alive {
+							alive = append(alive, row.ID)
+						}
+					}
+					if len(alive) == 1 {
+						continue
+					}
+					victim := alive[rng.Intn(len(alive))]
+					rb, err := c.Kill(victim)
+					if err != nil || rb.Lost != 0 {
+						t.Fatalf("step %d: Kill(%d): %+v, %v", step, victim, rb, err)
+					}
+				}
+				now := checkPlacement(t, c, step, live, gone)
+				for m := range held {
+					if _, open := mirrorState(m); open && !now[m] {
+						t.Fatalf("step %d: a mirror on shard %d outlived its session's wiring", step, m.shard)
+					}
+				}
+				held = now
+			}
+		})
+	}
+}
+
+// checkPlacement asserts the placement invariant of TestPlacementProperty
+// and returns the mirrors the hosted sessions hold.
+func checkPlacement(t *testing.T, c *Cluster, step int, live, gone map[string]string) map[*replica]bool {
+	t.Helper()
+	held := map[*replica]bool{}
+	ctx := context.Background()
+	alive := len(c.aliveIDsLocked())
+	wantMirrors := min(c.cfg.Replicas, alive-1)
+	hosted := 0
+	for _, sh := range c.shards {
+		if !sh.alive {
+			continue
+		}
+		for _, s := range sh.reg.Sessions() {
+			hosted++
+			if owner, _ := c.ring.owner(s.Tenant); owner != sh.id {
+				t.Fatalf("step %d: session %s of %s on shard %d, ring owner %d", step, s.ID, s.Tenant, sh.id, owner)
+			}
+			if live[s.ID] != s.Tenant {
+				t.Fatalf("step %d: shard %d hosts %s of %s, which the model does not hold", step, sh.id, s.ID, s.Tenant)
+			}
+			gen, err := s.Gen(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, _ := mirrorsOf(s)
+			owners := c.ring.owners(s.Tenant, 1+c.cfg.Replicas)
+			if len(ms) != wantMirrors {
+				t.Fatalf("step %d: session %s has %d mirrors, want %d", step, s.ID, len(ms), wantMirrors)
+			}
+			for k, m := range ms {
+				held[m] = true
+				mg, open := mirrorState(m)
+				if m.shard != owners[1+k] || !open || mg != gen {
+					t.Fatalf("step %d: session %s mirror %d on shard %d (open %v, gen %d), want shard %d of %v, open, gen %d",
+						step, s.ID, k, m.shard, open, mg, owners[1+k], owners, gen)
+				}
+			}
+		}
+	}
+	if hosted != len(live) {
+		t.Fatalf("step %d: registries host %d sessions, model holds %d", step, hosted, len(live))
+	}
+	if st, n := c.Status(), c.Live(); st.Sessions != n || n != hosted {
+		t.Fatalf("step %d: Status().Sessions = %d, Live() = %d, hosted %d", step, st.Sessions, n, hosted)
+	}
+	for id, tn := range gone {
+		var buf bytes.Buffer
+		_, getErr := c.Get(tn, id)
+		_, _, _, readErr := c.EncodeSince(ctx, tn, id, -1, &buf)
+		_, _, _, _, subErr := c.Subscribe(ctx, tn, id, 1)
+		delErr := c.Delete(tn, id)
+		for _, err := range []error{getErr, readErr, subErr, delErr} {
+			if !errors.Is(err, session.ErrNotFound) {
+				t.Fatalf("step %d: deleted session %s: Get %v, EncodeSince %v, Subscribe %v, Delete %v, want ErrNotFound",
+					step, id, getErr, readErr, subErr, delErr)
+			}
+		}
+	}
+	return held
 }

@@ -67,8 +67,7 @@ func (r *hashRing) owners(key string, n int) []int {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	h := ringHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	start := r.search(key)
 	out := make([]int, 0, n)
 	seen := make(map[int]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
@@ -80,4 +79,20 @@ func (r *hashRing) owners(key string, n int) []int {
 		out = append(out, p.shard)
 	}
 	return out
+}
+
+// owner returns key's primary shard, owners(key, 1)[0], without
+// allocating; ok is false on an empty ring.
+func (r *hashRing) owner(key string) (shard int, ok bool) {
+	if len(r.points) == 0 {
+		return 0, false
+	}
+	return r.points[r.search(key)%len(r.points)].shard, true
+}
+
+// search returns the index of the first point at or after key's hash;
+// len(r.points) means the walk wraps to the first point.
+func (r *hashRing) search(key string) int {
+	h := ringHash(key)
+	return sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 }

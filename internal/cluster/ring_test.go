@@ -137,5 +137,14 @@ func TestRingOwnersDistinct(t *testing.T) {
 		if r.owners(key, 1)[0] != o[0] {
 			t.Fatalf("primary unstable for %q", key)
 		}
+		if got, ok := r.owner(key); !ok || got != o[0] {
+			t.Fatalf("owner(%q) = %d, %v, want %d", key, got, ok, o[0])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.owner("t-7") }); allocs != 0 {
+		t.Fatalf("owner allocates %v times per call, want 0", allocs)
+	}
+	if _, ok := newRing(nil).owner("t-0"); ok {
+		t.Fatal("owner on an empty ring reported a shard")
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -183,5 +184,40 @@ func TestSessionWatchDrainUnderLaggard(t *testing.T) {
 	case <-done:
 	case <-time.After(15 * time.Second):
 		t.Fatal("drain stalled behind a laggard watch subscriber")
+	}
+}
+
+// TestReplicaWatchByeAtEviction pins that an SSE watch a mirror serves
+// ends with a bye when the idle sweeper evicts its session, as a
+// primary-served watch does.
+func TestReplicaWatchByeAtEviction(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 3, Replicas: 1, Sessions: session.Config{EventRate: -1, IdleTTL: 40 * time.Millisecond}})
+	created := createSession(t, ts.URL, "acme", map[string]any{"dist": "uniform", "n": 60, "seed": 3})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sessions/"+created.ID+"/watch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Tenant-ID", "acme")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("watch: status %d", resp.StatusCode)
+	}
+	if src := resp.Header.Get("X-Session-Source"); src != "replica" {
+		t.Fatalf("watch served by %q, want replica", src)
+	}
+	rd := bufio.NewReader(resp.Body)
+	if hello := readSSE(t, rd); hello.kind != "hello" {
+		t.Fatalf("first event = %+v", hello)
+	}
+	// An unanswered stream fails the read when ctx expires after 2 s.
+	if bye := readSSE(t, rd); bye.kind != "bye" {
+		t.Fatalf("event after eviction = %+v, want bye", bye)
 	}
 }

@@ -199,10 +199,6 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	enc := json.NewEncoder(w)
-	applyMS := s.cfg.Telemetry.BucketHistogram(
-		telemetry.LabeledName("session.apply_ms", "tenant", tenant),
-		telemetry.DefLatencyBuckets,
-	)
 
 	// The first event's token was charged at admission.
 	charged := true
@@ -238,13 +234,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		charged = false
-		t0 := time.Now()
 		res, err := sess.Apply(ctx, ev)
 		if err != nil {
 			emit(session.ApplyResult{Seq: seq, Op: ev.Op, Err: "stream closed: " + err.Error()})
 			break
 		}
-		applyMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 		res.Seq = seq
 		if !emit(res) {
 			break // client gone

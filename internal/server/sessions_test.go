@@ -501,7 +501,7 @@ func TestSessionRingOverflowFallsBackToSnapshot(t *testing.T) {
 }
 
 // TestSessionConcurrentWriters hammers one session from many goroutines;
-// the single-writer loop must serialize them into one consistent history
+// the session's mutex must serialize them into one consistent history
 // (run under -race).
 func TestSessionConcurrentWriters(t *testing.T) {
 	_, ts := newTestServer(t, Config{Sessions: session.Config{DeltaRing: 2048}})

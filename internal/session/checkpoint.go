@@ -108,9 +108,17 @@ func (s *Session) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 // both under the session lock: no delta record can be applied between the
 // capture and the install, so a replica initialized from the checkpoint
 // sees every subsequent record exactly once. install receives the
-// checkpoint and returns the replicator to install (nil detaches).
-func (s *Session) Rewire(ctx context.Context, install func(*Checkpoint) func(DeltaRecord)) error {
-	return s.do(ctx, func() { s.repl = install(s.checkpointLocked()) })
+// checkpoint and returns the replicator to install (nil detaches); the
+// replicator it replaces is closed. A closed session runs nothing and
+// returns ErrSessionClosed.
+func (s *Session) Rewire(ctx context.Context, install func(*Checkpoint) Replicator) error {
+	return s.do(ctx, func() {
+		old := s.Replicator()
+		s.repl.Store(&replBox{install(s.checkpointLocked())})
+		if old != nil {
+			old.Close()
+		}
+	})
 }
 
 // Restore rehosts a checkpointed session: the topology is rebuilt from the

@@ -356,6 +356,22 @@ func (r *Registry) Delete(tenant, id string) error {
 	return nil
 }
 
+// Sessions returns a snapshot of the hosted sessions, in no order.
+func (r *Registry) Sessions() []*Session {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sessionsLocked()
+}
+
+// sessionsLocked lists the hosted sessions. Caller holds r.mu.
+func (r *Registry) sessionsLocked() []*Session {
+	out := make([]*Session, 0, len(r.sessions))
+	for _, s := range r.sessions {
+		out = append(out, s)
+	}
+	return out
+}
+
 // Live reports the number of hosted sessions.
 func (r *Registry) Live() int {
 	r.mu.Lock()
@@ -476,10 +492,7 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	sessions := make([]*Session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := r.sessionsLocked()
 	r.sessions = make(map[string]*Session)
 	r.mu.Unlock()
 	close(r.stop)

@@ -136,21 +136,35 @@ type Session struct {
 	// Per-tenant instruments, resolved once at creation.
 	cEvents  *telemetry.Counter
 	hTouched *telemetry.BucketHistogram
+	hApplyMS *telemetry.BucketHistogram
 
 	// lastActive is a unix-nano timestamp bumped by every apply/read;
 	// the registry's TTL sweeper compares it against IdleTTL.
 	lastActive atomic.Int64
+
+	// repl holds the replicator Rewire installed. It is written under mu
+	// but read without it (see Replicator), so a read served by a mirror
+	// never waits on an apply.
+	repl atomic.Pointer[replBox]
 
 	mu     sync.Mutex
 	closed bool // set by Close: do refuses further work
 	dyn    *topology.Dynamic
 	rec    recorder
 	feed   *Feed // generation, delta ring, watchers
-	// repl, when set (see Rewire), receives every delta record under mu
-	// before the apply is acknowledged — the cluster layer's synchronous
-	// replication hook. It must not block.
-	repl func(DeltaRecord)
 }
+
+// Replicator is a session's replica set as the session sees it. Append
+// receives every delta record under the session lock, before the apply is
+// acknowledged, and must not block; Close stops the appends and is called
+// when the session closes or Rewire replaces the replicator.
+type Replicator interface {
+	Append(DeltaRecord)
+	Close()
+}
+
+// replBox lets an interface value sit behind an atomic.Pointer.
+type replBox struct{ r Replicator }
 
 // newSession wraps an already-built dynamic topology and the feed it
 // publishes to. The session does not know about quotas or peers.
@@ -164,6 +178,10 @@ func newSession(tenant string, dyn *topology.Dynamic, feed *Feed, maxNodes int, 
 		hTouched: tel.BucketHistogram(
 			telemetry.LabeledName("session.repair_touched", "tenant", tenant),
 			telemetry.DefCountBuckets,
+		),
+		hApplyMS: tel.BucketHistogram(
+			telemetry.LabeledName("session.apply_ms", "tenant", tenant),
+			telemetry.DefLatencyBuckets,
 		),
 		dyn:  dyn,
 		feed: feed,
@@ -183,6 +201,14 @@ func (s *Session) Touch() { s.touch() }
 // IdleSince returns the time of the last apply/read.
 func (s *Session) IdleSince() time.Time { return time.Unix(0, s.lastActive.Load()) }
 
+// Replicator returns the installed replicator, or nil. It takes no lock.
+func (s *Session) Replicator() Replicator {
+	if b := s.repl.Load(); b != nil {
+		return b.r
+	}
+	return nil
+}
+
 // do runs f under the session lock. A ctx already done, or a session
 // already closed, runs nothing; once f starts it runs to completion —
 // abandoning it mid-flight would tear the state.
@@ -200,13 +226,17 @@ func (s *Session) do(ctx context.Context, f func()) error {
 }
 
 // Close refuses further work after the in-flight operation (idempotent;
-// safe from any goroutine). Watchers see their channels close.
+// safe from any goroutine). Watchers see their channels close, and the
+// replicator is closed but stays installed, so its state can still be read.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
 		s.feed.Close()
+		if r := s.Replicator(); r != nil {
+			r.Close()
+		}
 	}
 }
 
@@ -215,10 +245,12 @@ func (s *Session) Close() {
 // in the result, not as an error — the stream goes on; the error return is
 // reserved for "could not run at all" (session closed, ctx done).
 func (s *Session) Apply(ctx context.Context, ev Event) (ApplyResult, error) {
+	t0 := time.Now()
 	var res ApplyResult
 	err := s.do(ctx, func() { res = s.apply(ev) })
 	if err == nil {
 		s.touch()
+		s.hApplyMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	}
 	return res, err
 }
@@ -298,12 +330,12 @@ func (s *Session) apply(ev Event) ApplyResult {
 		EdgesRemoved: sortedEdges(s.rec.removed),
 		Touched:      st.Touched,
 	}
-	if s.repl != nil {
+	if r := s.Replicator(); r != nil {
 		// Ack-ordered replication: every replica has applied the record
 		// before the client sees this generation acknowledged, so a
 		// hard-killed primary can never have acked an event its replicas
 		// don't hold.
-		s.repl(record)
+		r.Append(record)
 	}
 	s.feed.Publish(record)
 	s.cEvents.Inc()

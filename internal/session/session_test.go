@@ -611,3 +611,87 @@ func TestEdgelessSnapshotEncodesEmptyList(t *testing.T) {
 		}
 	}
 }
+
+// fakeReplicator records what its session hands it.
+type fakeReplicator struct {
+	gens   []int64
+	closed bool
+}
+
+func (f *fakeReplicator) Append(rec DeltaRecord) { f.gens = append(f.gens, rec.Gen) }
+func (f *fakeReplicator) Close()                 { f.closed = true }
+
+// TestReplicatorLifecycle pins the replicator contract the cluster's
+// mirrors rely on: Rewire installs a replicator seeded at the checkpoint's
+// generation and closes the one it replaces, every acked record reaches the
+// installed one, and closing the session closes it but leaves it readable.
+// A closed session refuses Rewire without calling install.
+func TestReplicatorLifecycle(t *testing.T) {
+	r := testRegistry(t, Config{EventRate: -1})
+	s := mustCreate(t, r, "acme", 40, 1, BuildSpec{})
+	ctx := context.Background()
+	move := func(node int) {
+		t.Helper()
+		if res, err := s.Apply(ctx, Event{Op: "move", Node: node, X: 0.1 + 0.01*float64(node), Y: 0.5}); err != nil || res.Err != "" {
+			t.Fatalf("apply: %v / %s", err, res.Err)
+		}
+	}
+	first, second := &fakeReplicator{}, &fakeReplicator{}
+	install := func(rep *fakeReplicator, wantGen int64) func(*Checkpoint) Replicator {
+		return func(cp *Checkpoint) Replicator {
+			if cp.Gen != wantGen {
+				t.Fatalf("install saw a checkpoint at gen %d, want %d", cp.Gen, wantGen)
+			}
+			return rep
+		}
+	}
+	if err := s.Rewire(ctx, install(first, 0)); err != nil {
+		t.Fatal(err)
+	}
+	move(1)
+	if err := s.Rewire(ctx, install(second, 1)); err != nil {
+		t.Fatal(err)
+	}
+	move(2)
+	if !first.closed || fmt.Sprint(first.gens) != "[1]" {
+		t.Fatalf("replaced replicator: closed %v, gens %v; want closed after [1]", first.closed, first.gens)
+	}
+	if second.closed || fmt.Sprint(second.gens) != "[2]" || s.Replicator() != second {
+		t.Fatalf("installed replicator: closed %v, gens %v, installed %v", second.closed, second.gens, s.Replicator() == second)
+	}
+	if err := r.Delete("acme", s.ID); err != nil {
+		t.Fatal(err)
+	}
+	if !second.closed || s.Replicator() != second {
+		t.Fatalf("after Delete: closed %v, still installed %v; want both", second.closed, s.Replicator() == second)
+	}
+	err := s.Rewire(ctx, func(*Checkpoint) Replicator {
+		t.Fatal("Rewire ran install on a closed session")
+		return nil
+	})
+	if !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("Rewire on a closed session: %v, want ErrSessionClosed", err)
+	}
+}
+
+// TestApplyObservesLatency pins that Session.Apply records every applied
+// event in its tenant's session.apply_ms histogram, whoever calls it, and
+// that a refused apply records nothing.
+func TestApplyObservesLatency(t *testing.T) {
+	tel := telemetry.New(nil)
+	r := testRegistry(t, Config{EventRate: -1, Telemetry: tel})
+	s := mustCreate(t, r, "acme", 40, 2, BuildSpec{})
+	for i := 0; i < 3; i++ {
+		if _, err := s.Apply(context.Background(), Event{Op: "move", Node: i, X: 0.2 + 0.1*float64(i), Y: 0.4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if _, err := s.Apply(context.Background(), Event{Op: "move", Node: 0, X: 0.9, Y: 0.9}); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("apply on a closed session: %v", err)
+	}
+	h := tel.BucketHistogram(telemetry.LabeledName("session.apply_ms", "tenant", "acme"), telemetry.DefLatencyBuckets)
+	if got := h.Snapshot().Count; got != 3 {
+		t.Fatalf("session.apply_ms{tenant=acme} count = %d, want 3", got)
+	}
+}
