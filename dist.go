@@ -2,7 +2,6 @@ package toporouting
 
 import (
 	"context"
-	"errors"
 
 	"toporouting/internal/dist"
 )
@@ -50,10 +49,7 @@ func BuildNetworkDistributedAsync(points []Point, opts Options, faults FaultPlan
 // ctx periodically and abandons the run with ctx.Err() when it is
 // cancelled. A background context reproduces the uncancelled build exactly.
 func BuildNetworkDistributedAsyncContext(ctx context.Context, points []Point, opts Options, faults FaultPlan, seed int64) (*Network, DistReport, error) {
-	if len(points) < 2 {
-		return nil, DistReport{}, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(ctx, points)
+	o, _, err := opts.withDefaults(ctx, points)
 	if err != nil {
 		return nil, DistReport{}, err
 	}

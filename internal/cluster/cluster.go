@@ -193,12 +193,17 @@ func mirrorsOf(s *session.Session) (ms mirrorSet, attached bool) {
 // after the primary, initialized from a checkpoint taken under the session
 // lock together with the hookup, so no record is lost between capture and
 // hookup. The set replaces, and closes, the one installed before; it is
-// installed even when empty, which marks s as attached. s must be hosted
-// on its tenant's ring owner. Caller holds c.mu.
+// installed even when empty, which marks s as attached, and then without
+// a checkpoint, since no mirror would read it. s must be hosted on its
+// tenant's ring owner. Caller holds c.mu.
 func (c *Cluster) attachLocked(s *session.Session) error {
+	owners := c.ring.owners(s.Tenant, 1+c.cfg.Replicas)[1:]
+	if len(owners) == 0 {
+		return s.Attach(context.Background(), mirrorSet(nil))
+	}
 	return s.Rewire(context.Background(), func(cp *session.Checkpoint) session.Replicator {
-		var ms mirrorSet
-		for _, si := range c.ring.owners(s.Tenant, 1+c.cfg.Replicas)[1:] {
+		ms := make(mirrorSet, 0, len(owners))
+		for _, si := range owners {
 			ms = append(ms, newReplica(si, cp, c.ringSize))
 		}
 		return ms

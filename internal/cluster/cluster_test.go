@@ -324,6 +324,29 @@ func TestHostingStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestAttachWithoutMirrorsSkipsCheckpoint pins that wiring an empty
+// replica set (Replicas: 0, the default daemon) captures no checkpoint:
+// attachLocked at n=2000 allocates at most twice, where a capture of the
+// points, edge list and ring costs nine allocations. The set is still
+// installed, so the session counts as attached.
+func TestAttachWithoutMirrorsSkipsCheckpoint(t *testing.T) {
+	c := testCluster(t, Config{Shards: 2})
+	s := clusterCreate(t, c, "acme", 2000, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := c.attachLocked(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("attachLocked with no mirrors: %v allocations per call, want ≤ 2", allocs)
+	}
+	if ms, attached := mirrorsOf(s); !attached || len(ms) != 0 {
+		t.Fatalf("after attach: attached %v with %d mirrors, want attached with none", attached, len(ms))
+	}
+}
+
 // TestClusterKillRebalance is the tentpole's crash drill, run under -race:
 // eight tenants stream moves concurrently while the busiest shard is
 // hard-killed mid-run. Every session must survive via promotion from its

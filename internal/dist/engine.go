@@ -14,10 +14,9 @@ import (
 
 // Config parameterizes a distributed build.
 type Config struct {
-	// Theta is the ΘALG cone angle in (0, π/3]; 0 selects the default.
-	Theta float64
-	// Range is the transmission radius D (> 0).
-	Range float64
+	// Theta and Range are ΘALG's cone angle and transmission radius D,
+	// checked and defaulted by topology.Resolve.
+	Theta, Range float64
 	// Seed drives all randomness of the run: fault sampling, delays,
 	// crash schedules, and hello jitter. Replays with the same (points,
 	// Config) are bit-identical.
@@ -40,9 +39,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults(n int) Config {
-	if c.Theta == 0 {
-		c.Theta = topology.DefaultTheta
-	}
 	if c.MailboxCap <= 0 {
 		c.MailboxCap = 1024
 	}
@@ -199,9 +195,8 @@ func (e *engine) fold(ev *event) {
 
 // Build runs the message-passing protocol over pts to quiescence and
 // returns the assembled topology with run statistics. It returns an error
-// wrapping topology.ErrCoincidentPoints when two points share a position,
-// and an error for an invalid fault plan; it panics on a non-positive
-// range.
+// wrapping topology.ErrInvalidInput for an invalid fault plan or for
+// input topology.Resolve rejects.
 func Build(pts []geom.Point, cfg Config) (*Outcome, error) {
 	return BuildContext(context.Background(), pts, cfg)
 }
@@ -214,18 +209,17 @@ func Build(pts []geom.Point, cfg Config) (*Outcome, error) {
 func BuildContext(ctx context.Context, pts []geom.Point, cfg Config) (*Outcome, error) {
 	n := len(pts)
 	cfg = cfg.withDefaults(n)
-	if cfg.Range <= 0 {
-		panic(fmt.Sprintf("dist: non-positive range %v", cfg.Range))
-	}
 	if err := cfg.Faults.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Faults.Crashes > n {
-		return nil, fmt.Errorf("dist: %d crashes for %d nodes", cfg.Faults.Crashes, n)
+		return nil, fmt.Errorf("dist: %w: %d crashes for %d nodes", topology.ErrInvalidInput, cfg.Faults.Crashes, n)
 	}
-	if err := topology.CheckDistinct(pts); err != nil {
+	rc, err := topology.Resolve(ctx, pts, topology.Config{Theta: cfg.Theta, Range: cfg.Range})
+	if err != nil {
 		return nil, err
 	}
+	cfg.Theta, cfg.Range = rc.Theta, rc.Range
 	tel := cfg.Telemetry
 	stopBuild := tel.StartPhase("dist.build")
 	_, span := telemetry.StartChild(ctx, "dist.build")

@@ -3,6 +3,8 @@ package dist
 import (
 	"fmt"
 	"math"
+
+	"toporouting/internal/topology"
 )
 
 // Faults is the fault-injection plan of a run. The zero value is the
@@ -41,16 +43,17 @@ func (f Faults) withDefaults() Faults {
 // probability outside [0, 1) or negative delay/crash parameters.
 func (f Faults) Validate() error { return f.validate() }
 
-// validate rejects plans the engine cannot terminate under.
+// validate rejects plans the engine cannot terminate under, with an error
+// wrapping topology.ErrInvalidInput.
 func (f Faults) validate() error {
 	if f.Drop < 0 || f.Drop >= 1 {
-		return fmt.Errorf("dist: drop probability %v outside [0, 1)", f.Drop)
+		return fmt.Errorf("dist: %w: drop probability %v outside [0, 1)", topology.ErrInvalidInput, f.Drop)
 	}
 	if f.MaxDelay < 0 {
-		return fmt.Errorf("dist: negative max delay %d", f.MaxDelay)
+		return fmt.Errorf("dist: %w: negative max delay %d", topology.ErrInvalidInput, f.MaxDelay)
 	}
 	if f.Crashes < 0 {
-		return fmt.Errorf("dist: negative crash count %d", f.Crashes)
+		return fmt.Errorf("dist: %w: negative crash count %d", topology.ErrInvalidInput, f.Crashes)
 	}
 	return nil
 }

@@ -416,8 +416,8 @@ func (s *Server) startJob(kind string, timeoutMS int, fn func(context.Context) (
 // writeRunError renders a failed runJob: backpressure shedding (429 with a
 // derived Retry-After, 503 while draining), an expired request deadline
 // (504), a cancelled request (client gone or drain forcing, 503), an input
-// the builder or the run's own input step rejects (coincident points, an
-// unknown distribution: 400), and 500 for everything else.
+// the library rejects (anything matching toporouting.ErrInvalidInput: 400),
+// and 500 for everything else.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
@@ -435,16 +435,12 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 		// Client disconnect or drain; the client is likely gone, but be
 		// explicit for the ones that are not.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled")
-	case errors.Is(err, toporouting.ErrCoincidentPoints), errors.As(err, new(badRequest)):
+	case errors.Is(err, toporouting.ErrInvalidInput):
 		writeError(w, http.StatusBadRequest, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
 }
-
-// badRequest marks an error the client caused that surfaced on the build
-// path, past the handler's own 400s; writeRunError answers it 400.
-type badRequest struct{ error }
 
 // buildEncoded runs the job and streams its result into a pooled encode
 // state. Encoding the success response is the last leg of a traced request,
@@ -540,7 +536,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			pts, err := req.positions()
 			if err != nil {
-				return nil, badRequest{err}
+				return nil, err
 			}
 			ar := getArena()
 			nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, 0, ar)
@@ -558,7 +554,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			pts, err := req.positions()
 			if err != nil {
-				return nil, badRequest{err}
+				return nil, err
 			}
 			nw, rep, err := toporouting.BuildNetworkDistributedAsyncContext(ctx, pts, opts, req.Faults.plan(), req.BuildSeed)
 			if err != nil {
@@ -636,7 +632,7 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		pts, err := req.positions()
 		if err != nil {
-			return nil, badRequest{err}
+			return nil, err
 		}
 		ar := getArena()
 		// All response values are extracted here, inside the job, so the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -211,28 +212,66 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestCoincidentPoints400 pins that points repeating a position are a
-// client error on every endpoint that builds: 400 with the builder's
-// message, not a 500.
+// TestCoincidentPoints400 pins that points repeating a position, and every
+// other input ΘALG's resolver or the layers above it reject, are a client
+// error on every endpoint where the field applies: 400 with the rejecting
+// layer's message, not a 500 (nor a 200 that silently used a default).
 func TestCoincidentPoints400(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	dup := [][2]float64{{0, 0}, {0, 0}, {1, 1}}
-	for _, c := range []struct {
+	type input struct {
 		path string
 		body map[string]any
+		want string
+	}
+	cases := []input{
+		{"/v1/topology", map[string]any{"points": dup}, "coincident points"},
+		{"/v1/topology", map[string]any{"points": dup, "mode": "distributed"}, "coincident points"},
+		{"/v1/interference", map[string]any{"points": dup, "workers": 2}, "coincident points"},
+		{"/v1/sessions", map[string]any{"points": dup}, "coincident points"},
+		{"/v1/simulate", map[string]any{"points": dup, "steps": 4, "churn_every": 2}, "coincident points"},
+		{"/v1/topology", map[string]any{"n": 20, "kappa": 1}, "kappa 1 below 2"},
+		{"/v1/simulate", map[string]any{"n": 20, "steps": 4, "kappa": 1}, "kappa 1 below 2"},
+		{"/v1/topology", map[string]any{"n": 20, "mode": "distributed", "faults": map[string]any{"drop": 2}}, "drop probability 2 outside"},
+		{"/v1/simulate", map[string]any{"n": 20, "steps": 4, "faults": map[string]any{"drop": 2}}, "drop probability 2 outside"},
+	}
+	// The inputs every endpoint takes, on each of them (a Monte-Carlo
+	// simulation included).
+	endpoints := []struct {
+		path  string
+		extra map[string]any
 	}{
-		{"/v1/topology", map[string]any{"points": dup}},
-		{"/v1/topology", map[string]any{"points": dup, "mode": "distributed"}},
-		{"/v1/interference", map[string]any{"points": dup, "workers": 2}},
-		{"/v1/sessions", map[string]any{"points": dup}},
-		{"/v1/simulate", map[string]any{"points": dup, "steps": 4, "churn_every": 2}},
+		{"/v1/topology", nil},
+		{"/v1/topology", map[string]any{"mode": "distributed"}},
+		{"/v1/interference", nil},
+		{"/v1/sessions", nil},
+		{"/v1/simulate", map[string]any{"steps": 4}},
+		{"/v1/simulate", map[string]any{"steps": 4, "runs": 2}},
+	}
+	for _, in := range []struct {
+		body map[string]any
+		want string
+	}{
+		{map[string]any{"n": 20, "theta": 2}, "theta 2 outside (0, π/3]"},
+		{map[string]any{"n": 20, "theta": -0.5}, "theta -0.5 outside (0, π/3]"},
+		{map[string]any{"n": 20, "range": -1}, "range -1 must be positive"},
+		{map[string]any{"points": [][2]float64{{0.5, 0.5}}}, "need at least two points"},
+		{map[string]any{"dist": "spiral", "n": 20}, "unknown distribution"},
 	} {
+		for _, ep := range endpoints {
+			body := maps.Clone(in.body)
+			maps.Copy(body, ep.extra)
+			cases = append(cases, input{ep.path, body, in.want})
+		}
+	}
+	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400 (body %s)", c.path, resp.StatusCode, body)
+			t.Errorf("%s %v: status = %d, want 400 (body %s)", c.path, c.body, resp.StatusCode, body)
+			continue
 		}
-		if !strings.Contains(string(body), "coincident points") {
-			t.Fatalf("%s: error should name the coincident points, got %s", c.path, body)
+		if !strings.Contains(string(body), c.want) {
+			t.Errorf("%s %v: error should say %q, got %s", c.path, c.body, c.want, body)
 		}
 	}
 

@@ -112,13 +112,24 @@ func (s *Session) Checkpoint(ctx context.Context) (*Checkpoint, error) {
 // replicator it replaces is closed. A closed session runs nothing and
 // returns ErrSessionClosed.
 func (s *Session) Rewire(ctx context.Context, install func(*Checkpoint) Replicator) error {
-	return s.do(ctx, func() {
-		old := s.Replicator()
-		s.repl.Store(&replBox{install(s.checkpointLocked())})
-		if old != nil {
-			old.Close()
-		}
-	})
+	return s.do(ctx, func() { s.replaceLocked(install(s.checkpointLocked())) })
+}
+
+// Attach is Rewire for a replicator that needs no checkpoint, such as an
+// empty replica set: it installs r under the session lock without capturing
+// one.
+func (s *Session) Attach(ctx context.Context, r Replicator) error {
+	return s.do(ctx, func() { s.replaceLocked(r) })
+}
+
+// replaceLocked installs r and closes the replicator it replaces. Caller
+// holds s.mu.
+func (s *Session) replaceLocked(r Replicator) {
+	old := s.Replicator()
+	s.repl.Store(&replBox{r})
+	if old != nil {
+		old.Close()
+	}
 }
 
 // Restore rehosts a checkpointed session: the topology is rebuilt from the

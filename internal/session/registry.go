@@ -10,7 +10,6 @@ import (
 	"toporouting/internal/geom"
 	"toporouting/internal/telemetry"
 	"toporouting/internal/topology"
-	"toporouting/internal/unitdisk"
 )
 
 // Config parameterizes a Registry. The zero value serves with sane
@@ -80,13 +79,11 @@ type QuotaError struct {
 
 func (e *QuotaError) Error() string { return "session: " + e.Reason }
 
-// BuildSpec parameterizes a session's initial topology.
+// BuildSpec parameterizes a session's initial topology: ΘALG's cone angle
+// and transmission range D, checked and defaulted by topology.Resolve. The
+// range is fixed for the session's lifetime.
 type BuildSpec struct {
-	// Theta is the cone angle; 0 selects the package default.
-	Theta float64
-	// Range is the transmission range D, fixed for the session's lifetime;
-	// 0 selects 1.3x the critical connectivity range of the initial set.
-	Range float64
+	Theta, Range float64
 }
 
 // Registry owns every hosted session: creation (with quota enforcement),
@@ -142,48 +139,25 @@ func NewRegistry(cfg Config) *Registry {
 
 // Create builds a topology over pts per spec and hosts it for tenant. The
 // build runs outside the registry lock (it can take seconds at large n);
-// the tenant's session slot is reserved first — before the default range,
-// which costs a spanning tree, so a tenant at its cap pays nothing for its
-// QuotaError and concurrent creates cannot blow the quota — and released if
-// the range or the build fails.
+// the tenant's session slot is reserved first — before topology.Resolve
+// checks the input and chooses the default range, which costs a spanning
+// tree, so a tenant at its cap pays nothing for its QuotaError and
+// concurrent creates cannot blow the quota — and released if the input is
+// rejected or the build fails.
 func (r *Registry) Create(ctx context.Context, tenant string, pts []geom.Point, spec BuildSpec) (*Session, error) {
-	if len(pts) < 2 {
-		return nil, fmt.Errorf("session: need at least two points, got %d", len(pts))
-	}
 	if len(pts) > r.cfg.MaxNodes {
 		return nil, fmt.Errorf("session: %d points exceeds the %d-node session cap", len(pts), r.cfg.MaxNodes)
 	}
-	theta := spec.Theta
-	if theta == 0 {
-		theta = topology.DefaultTheta
-	}
-	if theta <= 0 || theta > math.Pi/3+1e-12 {
-		return nil, fmt.Errorf("session: theta %v outside (0, π/3]", theta)
-	}
-	if spec.Range < 0 {
-		return nil, fmt.Errorf("session: range %v must be positive", spec.Range)
-	}
-
 	id, err := r.reserve(tenant)
 	if err != nil {
 		return nil, err
 	}
-	dRange := spec.Range
-	if dRange == 0 {
-		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
-		d, distinct := unitdisk.DefaultRangeDistinct(pts)
-		span.End()
-		if !distinct {
-			r.release(tenant)
-			return nil, topology.CheckDistinct(pts)
-		}
-		dRange = d
-	}
-	if dRange <= 0 {
+	cfg, err := topology.Resolve(ctx, pts, topology.Config{Theta: spec.Theta, Range: spec.Range, Telemetry: r.cfg.Telemetry})
+	if err != nil {
 		r.release(tenant)
-		return nil, fmt.Errorf("session: range %v must be positive", dRange)
+		return nil, err
 	}
-	top, err := r.build(ctx, tenant, pts, topology.Config{Theta: theta, Range: dRange, Telemetry: r.cfg.Telemetry})
+	top, err := r.build(ctx, tenant, pts, cfg)
 	if err != nil {
 		return nil, err
 	}

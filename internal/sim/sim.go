@@ -9,7 +9,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -25,7 +24,6 @@ import (
 	"toporouting/internal/routing"
 	"toporouting/internal/telemetry"
 	"toporouting/internal/topology"
-	"toporouting/internal/unitdisk"
 )
 
 // MACKind selects the medium-access layer.
@@ -39,8 +37,7 @@ const (
 	// MACRandom is the randomized symmetry-breaking MAC of Section 3.3.
 	MACRandom
 	// MACHoneycomb is the fixed-transmission-strength honeycomb
-	// algorithm of Section 3.4 (ignores Theta/RangeSlack; uses unit
-	// range).
+	// algorithm of Section 3.4 (ignores Theta/Range; uses unit range).
 	MACHoneycomb
 )
 
@@ -120,15 +117,11 @@ type Config struct {
 	// Points are the node positions (mutated only under Mobility; the
 	// simulator copies them).
 	Points pointset.Set
-	// Theta is the ΘALG cone angle (0 = default π/6).
-	Theta float64
-	// RangeSlack scales the critical range to set the transmission range
-	// (values ≥ 1; 0 = default 1.3). MACHoneycomb ignores it and uses
-	// unit range.
-	RangeSlack float64
-	// Range, when positive, fixes the transmission range directly and
-	// overrides RangeSlack. Mobility rebuilds keep the fixed range.
-	Range float64
+	// Theta and Range are ΘALG's cone angle and transmission range D,
+	// checked and defaulted by topology.Resolve at every (re)build: a
+	// range of 0 follows the moving points' critical range, a positive one
+	// stays fixed. MACHoneycomb ignores both and uses unit range.
+	Theta, Range float64
 	// Delta is the interference guard zone (0 = default).
 	Delta float64
 	// Kappa is the energy exponent for edge costs (0 = 2).
@@ -226,9 +219,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Delta == 0 {
 		cfg.Delta = interference.DefaultDelta
 	}
-	if cfg.RangeSlack == 0 {
-		cfg.RangeSlack = unitdisk.DefaultSlack
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pts := append(pointset.Set(nil), cfg.Points...)
 	n := len(pts)
@@ -300,18 +290,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		defer spanRb.End()
 		switch cfg.MAC {
 		case MACGiven, MACRandom:
-			d := cfg.Range
-			if d <= 0 {
-				// Coincident points, which every build rejects, are
-				// caught before the spanning tree.
-				c, distinct := unitdisk.CriticalRangeDistinct(pts)
-				if !distinct {
-					return topology.CheckDistinct(pts)
-				}
-				d = c * cfg.RangeSlack
+			tcfg, err := topology.Resolve(rctx, pts, topology.Config{Theta: cfg.Theta, Range: cfg.Range, Telemetry: tel})
+			if err != nil {
+				return err
 			}
 			if churn {
-				top, err := topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)
+				top, err := topology.BuildThetaContext(rctx, pts, tcfg, cfg.Workers)
 				if err != nil {
 					return err
 				}
@@ -324,20 +308,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				// sample fresh fault outcomes while staying reproducible.
 				distBuilds++
 				out, err := dist.BuildContext(rctx, pts, dist.Config{
-					Theta:     cfg.Theta,
-					Range:     d,
+					Theta:     tcfg.Theta,
+					Range:     tcfg.Range,
 					Seed:      cfg.Seed + 7919*int64(distBuilds),
 					Faults:    *cfg.Dist,
 					Telemetry: tel,
 				})
 				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					if errors.Is(err, topology.ErrCoincidentPoints) {
-						return err
-					}
-					panic(fmt.Sprintf("sim: invalid fault plan: %v", err))
+					return err
 				}
 				cert := out.Certify()
 				res.DistMsgs += out.Stats.Sent
@@ -347,7 +325,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				install(pts, out.Top)
 				return nil
 			}
-			top, err := topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)
+			top, err := topology.BuildThetaContext(rctx, pts, tcfg, cfg.Workers)
 			if err != nil {
 				return err
 			}
@@ -517,7 +495,8 @@ func MonteCarlo(cfg Config, seeds []int64, parallelism int) []Result {
 // once per step, so cancellation stops the fan-out within one step across
 // the pool. The seed-ordered results computed before cancellation are
 // returned alongside ctx.Err(); unstarted or interrupted seeds are left as
-// zero Results.
+// zero Results. Otherwise the first run error in seed order, such as an
+// input topology.Resolve rejects, is returned with the results.
 func MonteCarloContext(ctx context.Context, cfg Config, seeds []int64, parallelism int) ([]Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -530,6 +509,7 @@ func MonteCarloContext(ctx context.Context, cfg Config, seeds []int64, paralleli
 	workerCfg := cfg
 	workerCfg.Telemetry = tel.WithoutTrace()
 	results := make([]Result, len(seeds))
+	errs := make([]error, len(seeds))
 	type runMeta struct {
 		worker int
 		ms     float64
@@ -551,11 +531,11 @@ func MonteCarloContext(ctx context.Context, cfg Config, seeds []int64, paralleli
 				c := workerCfg
 				c.Seed = seeds[i]
 				if metas == nil {
-					results[i], _ = RunContext(ctx, c)
+					results[i], errs[i] = RunContext(ctx, c)
 					continue
 				}
 				t0 := time.Now()
-				results[i], _ = RunContext(ctx, c)
+				results[i], errs[i] = RunContext(ctx, c)
 				metas[i] = runMeta{worker: worker, ms: float64(time.Since(t0)) / float64(time.Millisecond)}
 			}
 		}(w)
@@ -581,5 +561,13 @@ func MonteCarloContext(ctx context.Context, cfg Config, seeds []int64, paralleli
 			}})
 		}
 	}
-	return results, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return results, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
 }

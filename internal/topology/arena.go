@@ -9,10 +9,10 @@ import (
 )
 
 // BuildArena is reusable backing storage for ΘALG builds: the spatial index,
-// both n×k sector tables, the adjacency slab of the final topology N, and
-// the distinctness-check map. A serving layer that builds one topology per
-// request recycles arenas through a pool, turning the ~1500 per-build
-// allocations of the naive path into a handful.
+// both n×k sector tables and the adjacency slab of the final topology N. A
+// serving layer that builds one topology per request recycles arenas
+// through a pool, turning the ~1500 per-build allocations of the naive
+// path into a handful.
 //
 // A Topology built into an arena aliases the arena's memory: it is valid
 // only until the next build with the same arena, and must not be retained
@@ -23,7 +23,6 @@ type BuildArena struct {
 	tabFlat []int32
 	tabRows [][]int32
 	fin     graph.Slab
-	seen    map[geom.Point]int
 }
 
 // sectorTables carves the NearestOut and AdmitIn tables (n rows of k each,
@@ -47,22 +46,12 @@ func (a *BuildArena) sectorTables(n, k int) (nearest, admit [][]int32) {
 	return rows[:n], rows[n:]
 }
 
-// distinctScratch returns the cleared position-uniqueness map.
-func (a *BuildArena) distinctScratch(n int) map[geom.Point]int {
-	if a.seen == nil {
-		a.seen = make(map[geom.Point]int, n)
-	} else {
-		clear(a.seen)
-	}
-	return a.seen
-}
-
 // Footprint approximates the arena's retained backing size in bytes, so
 // pools can drop arenas that grew serving an outsized request instead of
 // retaining them forever.
 func (a *BuildArena) Footprint() int {
 	return 4*cap(a.tabFlat) + 24*cap(a.tabRows) +
-		a.fin.Footprint() + a.grid.Footprint() + 48*len(a.seen)
+		a.fin.Footprint() + a.grid.Footprint()
 }
 
 // BuildThetaArena is BuildThetaContext building into ar's reusable storage

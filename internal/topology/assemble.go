@@ -6,15 +6,6 @@ import (
 	"toporouting/internal/geom"
 )
 
-// CheckDistinct enforces the paper's standing assumption of distinct node
-// positions, returning an error wrapping ErrCoincidentPoints that names the
-// first coincident pair (exported for alternative builders such as the
-// message-passing engine in internal/dist, which must reject degenerate
-// inputs before running the protocol).
-func CheckDistinct(pts []geom.Point) error {
-	return checkDistinct(pts)
-}
-
 // AssembleTables constructs a Topology from externally computed per-sector
 // selection and admission tables — the output surface of builders that do
 // not run inside this package, such as the asynchronous message-passing

@@ -5,13 +5,13 @@
 // and Theorem 2.8. A build's one artifact is the pair of per-node sector
 // tables plus the final topology N stitched from them; the plain Yao graph
 // ΘALG prunes and the message counts of the 3-round protocol are derived
-// from the tables on demand. The message-passing realization of the
-// protocol lives in internal/dist.
+// from the tables on demand. Resolve is the one check of ΘALG's input
+// (point count, θ, range, distinct positions) for every caller. The
+// message-passing realization of the protocol lives in internal/dist.
 package topology
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -43,6 +43,10 @@ type Config struct {
 	// (when tracing) a per-build event. nil disables instrumentation at
 	// zero cost.
 	Telemetry *telemetry.Telemetry
+
+	// distinct is set by Resolve, which has shown the positions distinct;
+	// a build with it set skips its own check.
+	distinct bool
 }
 
 func (c Config) withDefaults() Config {
@@ -210,12 +214,13 @@ func rowHas(row []int32, v int32) bool {
 }
 
 // ErrCoincidentPoints is the error of a build over a point set in which two
-// nodes share a position (see checkDistinct).
-var ErrCoincidentPoints = errors.New("topology: coincident points; ΘALG requires distinct positions")
+// nodes share a position (see checkDistinct). It wraps ErrInvalidInput.
+var ErrCoincidentPoints = fmt.Errorf("topology: %w: coincident points; ΘALG requires distinct positions", ErrInvalidInput)
 
 // BuildTheta runs ΘALG on pts and returns the resulting topology. It panics
-// on an invalid configuration or coincident points. The transmission graph
-// G* is implicit: nodes within distance Cfg.Range are mutually reachable.
+// on an invalid configuration or coincident points; callers with outside
+// input check it with Resolve first. The transmission graph G* is
+// implicit: nodes within distance Cfg.Range are mutually reachable.
 func BuildTheta(pts []geom.Point, cfg Config) *Topology {
 	t, err := build(context.Background(), pts, cfg, 1, nil)
 	if err != nil {
@@ -257,15 +262,13 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 	if cfg.Orientations != nil && len(cfg.Orientations) != n {
 		panic(fmt.Sprintf("topology: %d orientations for %d points", len(cfg.Orientations), n))
 	}
-	var err error
-	if ar != nil {
-		err = checkDistinctIn(pts, ar.distinctScratch(n))
-	} else {
-		err = checkDistinct(pts)
+	if !cfg.distinct {
+		if err := checkDistinct(pts); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
+	// The proof covers pts as they are now, so the echoed Cfg drops it.
+	cfg.distinct = false
 	t := &Topology{
 		Pts:     pts,
 		Cfg:     cfg,
@@ -281,7 +284,7 @@ func build(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *B
 	stopBuild := tel.StartPhase("topology.build")
 	ctx, spanBuild := telemetry.StartChild(ctx, "topology.build")
 	spanBuild.SetAttr("n", float64(n))
-	err = t.fillGrid(ctx, workers, ar)
+	err := t.fillGrid(ctx, workers, ar)
 	stopBuild()
 	if err != nil {
 		spanBuild.End()
@@ -427,13 +430,14 @@ func closure(tab [][]int32, k int, slab *graph.Slab) *graph.Graph {
 // deterministic tie-break relaxes uniqueness, but zero-distance pairs make
 // the sector geometry — and hence the θ-path recursion — ill-defined). The
 // error wraps ErrCoincidentPoints and names the first coincident pair.
+// The map comes from a pool, so the per-request path does not reallocate
+// its buckets.
 func checkDistinct(pts []geom.Point) error {
-	return checkDistinctIn(pts, make(map[geom.Point]int, len(pts)))
-}
-
-// checkDistinctIn is checkDistinct into a caller-provided (cleared) map, so
-// arena builds recycle the map's buckets instead of reallocating them.
-func checkDistinctIn(pts []geom.Point, seen map[geom.Point]int) error {
+	seen := seenPool.Get().(map[geom.Point]int)
+	defer func() {
+		clear(seen)
+		seenPool.Put(seen)
+	}()
 	for i, p := range pts {
 		if j, dup := seen[p]; dup {
 			return fmt.Errorf("%w: nodes %d and %d share position (%v, %v)", ErrCoincidentPoints, j, i, p.X, p.Y)
@@ -442,6 +446,8 @@ func checkDistinctIn(pts []geom.Point, seen map[geom.Point]int) error {
 	}
 	return nil
 }
+
+var seenPool = sync.Pool{New: func() any { return make(map[geom.Point]int) }}
 
 // newSectorTable allocates an n×k table initialized to -1.
 func newSectorTable(n, k int) [][]int32 {

@@ -1,6 +1,7 @@
 package unitdisk
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync"
@@ -34,17 +35,19 @@ import (
 // any other exact MST algorithm. Squared lengths that overflow are +Inf;
 // if the tree needs one, the result is +Inf.
 func SpanningTree(pts []geom.Point, edge func(u, v int, d2 float64)) float64 {
-	longest2, _ := spanningTree(pts, edge, false)
+	longest2, _, _ := spanningTree(context.Background(), pts, edge, false)
 	return longest2
 }
 
-// spanningTree is SpanningTree. With distinct set it stops as soon as the
-// nearest-neighbour pass shows two points sharing a position, and reports
-// that instead of joining the zero-length pairs.
-func spanningTree(pts []geom.Point, edge func(u, v int, d2 float64), distinct bool) (longest2 float64, coincident bool) {
+// spanningTree is SpanningTree under ctx: it checks ctx before each band,
+// and before each budget of joins where a band is joined a budget at a
+// time, and returns ctx.Err() once it is cancelled. With distinct set it stops as soon as
+// the nearest-neighbour pass shows two points sharing a position, and
+// reports that instead of joining the zero-length pairs.
+func spanningTree(ctx context.Context, pts []geom.Point, edge func(u, v int, d2 float64), distinct bool) (longest2 float64, coincident bool, err error) {
 	n := len(pts)
 	if n < 2 {
-		return 0, false
+		return 0, false, nil
 	}
 	k := kruskalPool.Get().(*kruskal)
 	defer k.release()
@@ -60,7 +63,7 @@ func spanningTree(pts []geom.Point, edge func(u, v int, d2 float64), distinct bo
 		// points at one position, or two distinct points so close that
 		// their d² underflows.
 		if hasCoincident(pts) {
-			return 0, true
+			return 0, true, nil
 		}
 		hi2, min2 = k.nearestBound(false)
 	}
@@ -72,12 +75,18 @@ func spanningTree(pts []geom.Point, edge func(u, v int, d2 float64), distinct bo
 		lo2 = math.Nextafter(min2, 0)
 	} else {
 		for k.comps > 1 {
+			if err := ctx.Err(); err != nil {
+				return 0, false, err
+			}
 			if _, ok := k.scan(-1, 0); ok {
 				break
 			}
 		}
 	}
 	for k.comps > 1 {
+		if err := ctx.Err(); err != nil {
+			return 0, false, err
+		}
 		if lo2 == math.MaxFloat64 {
 			// Every finite pair is in; the rest overflow to +Inf.
 			hi2 = math.Inf(1)
@@ -107,7 +116,7 @@ func spanningTree(pts []geom.Point, edge func(u, v int, d2 float64), distinct bo
 		}
 		lo2, hi2 = hi2, hi2*grow
 	}
-	return k.longest, false
+	return k.longest, false, nil
 }
 
 // hasCoincident reports whether two points share a position. It stops at

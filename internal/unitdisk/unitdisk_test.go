@@ -1,10 +1,13 @@
 package unitdisk
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"toporouting/internal/geom"
 	"toporouting/internal/pointset"
@@ -309,6 +312,45 @@ func TestDefaultRangeDistinct(t *testing.T) {
 		if want := CriticalRange(pts); c != want {
 			t.Fatalf("%s: CriticalRangeDistinct = %v, CriticalRange %v", name, c, want)
 		}
+	}
+}
+
+// TestDefaultRangeContextCancel: at n = 50 000, where the whole range
+// takes ≈ 0.1–0.25 s, a context cancelled mid-tree (at the first tree
+// edge, inside the first band's joins) stops the spanning tree within
+// 50 ms (a bound the race detector's slowdown voids) with
+// context.Canceled, and DefaultRangeContext reports a cancellation as
+// ctx.Err(). Uncancelled, it matches DefaultRangeDistinct.
+func TestDefaultRangeContextCancel(t *testing.T) {
+	pts := pointset.Generate(pointset.KindUniform, 50000, 1)
+	t0 := time.Now()
+	want, _ := DefaultRangeDistinct(pts)
+	full := time.Since(t0)
+	if d, distinct, err := DefaultRangeContext(context.Background(), pts); d != want || !distinct || err != nil {
+		t.Fatalf("DefaultRangeContext = (%v, %v, %v), want (%v, true, nil)", d, distinct, err, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled time.Time
+	_, _, err := spanningTree(ctx, pts, func(int, int, float64) {
+		if cancelled.IsZero() {
+			cancelled = time.Now()
+			cancel()
+		}
+	}, true)
+	stop := time.Since(cancelled)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("spanning tree cancelled at its first edge: err = %v, want context.Canceled", err)
+	}
+	if stop > 50*time.Millisecond && !raceEnabled {
+		t.Fatalf("spanning tree ran %v past its cancellation, want < 50ms (whole range %v)", stop, full)
+	}
+	t.Logf("stopped %v after cancellation; the whole range takes %v", stop, full)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	cancel()
+	if d, _, err := DefaultRangeContext(ctx, pts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled DefaultRangeContext = (%v, %v), want context.Canceled", d, err)
 	}
 }
 

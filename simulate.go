@@ -43,7 +43,8 @@ type SimulationOptions struct {
 	// Points are the node positions (≥ 2).
 	Points []Point
 	// Theta, Range, Kappa, Delta follow Options semantics (zero =
-	// default). MACHoneycomb ignores Theta/Range and uses unit range.
+	// default) and are rejected as BuildNetwork rejects them.
+	// MACHoneycomb ignores Theta/Range and uses unit range.
 	Theta, Range, Kappa, Delta float64
 	// MAC selects the medium-access layer.
 	MAC MAC
@@ -118,35 +119,41 @@ type SimulationResult struct {
 }
 
 // toSimConfig validates the options and converts them to the internal
-// simulation configuration.
+// simulation configuration. θ and the range are left to the simulation's
+// own (re)builds, which resolve them like BuildNetwork; honeycomb runs
+// never read them.
 func toSimConfig(opts SimulationOptions) (sim.Config, error) {
 	if len(opts.Points) < 2 {
-		return sim.Config{}, errors.New("toporouting: simulation needs ≥ 2 points")
+		return sim.Config{}, invalid("need at least two points, got %d", len(opts.Points))
 	}
 	if opts.Steps <= 0 {
-		return sim.Config{}, errors.New("toporouting: simulation needs steps > 0")
+		return sim.Config{}, invalid("simulation needs steps > 0")
+	}
+	kappa, delta, err := kappaDelta(opts.Kappa, opts.Delta)
+	if err != nil {
+		return sim.Config{}, err
 	}
 	if opts.ChurnEvery > 0 {
 		if opts.MobilityEvery > 0 {
-			return sim.Config{}, errors.New("toporouting: ChurnEvery and MobilityEvery are mutually exclusive")
+			return sim.Config{}, invalid("ChurnEvery and MobilityEvery are mutually exclusive")
 		}
 		if opts.MAC == MACHoneycomb {
-			return sim.Config{}, errors.New("toporouting: churn requires a ΘALG-based MAC (given or random)")
+			return sim.Config{}, invalid("churn requires a ΘALG-based MAC (given or random)")
 		}
 	}
 	if opts.DistFaults != nil {
 		if opts.ChurnEvery > 0 {
-			return sim.Config{}, errors.New("toporouting: DistFaults and ChurnEvery are mutually exclusive")
+			return sim.Config{}, invalid("DistFaults and ChurnEvery are mutually exclusive")
 		}
 		if opts.MAC == MACHoneycomb {
-			return sim.Config{}, errors.New("toporouting: DistFaults requires a ΘALG-based MAC (given or random)")
+			return sim.Config{}, invalid("DistFaults requires a ΘALG-based MAC (given or random)")
 		}
 		if err := opts.DistFaults.Validate(); err != nil {
 			return sim.Config{}, err
 		}
 	}
 	if opts.Router.BufferSize <= 0 {
-		return sim.Config{}, errors.New("toporouting: simulation needs a positive buffer size")
+		return sim.Config{}, invalid("simulation needs a positive buffer size")
 	}
 	var kind sim.MACKind
 	switch opts.MAC {
@@ -157,7 +164,7 @@ func toSimConfig(opts SimulationOptions) (sim.Config, error) {
 	case MACHoneycomb:
 		kind = sim.MACHoneycomb
 	default:
-		return sim.Config{}, fmt.Errorf("toporouting: unknown MAC %d", int(opts.MAC))
+		return sim.Config{}, invalid("unknown MAC %d", int(opts.MAC))
 	}
 	var injector sim.Injector
 	if opts.Traffic != nil {
@@ -167,8 +174,8 @@ func toSimConfig(opts SimulationOptions) (sim.Config, error) {
 		Points: opts.Points,
 		Theta:  opts.Theta,
 		Range:  opts.Range,
-		Delta:  opts.Delta,
-		Kappa:  opts.Kappa,
+		Delta:  delta,
+		Kappa:  kappa,
 		MAC:    kind,
 		Router: routing.Params{
 			T: opts.Router.T, Gamma: opts.Router.Gamma, BufferSize: opts.Router.BufferSize,

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"toporouting/internal/geom"
@@ -37,7 +36,6 @@ import (
 	"toporouting/internal/interference"
 	"toporouting/internal/pointset"
 	"toporouting/internal/stretch"
-	"toporouting/internal/telemetry"
 	"toporouting/internal/topology"
 	"toporouting/internal/unitdisk"
 )
@@ -48,12 +46,13 @@ type Point = geom.Point
 // Pt is shorthand for Point{X: x, Y: y}.
 func Pt(x, y float64) Point { return geom.Pt(x, y) }
 
-// Options configures BuildNetwork.
+// Options configures BuildNetwork. Every builder checks it the same way
+// and answers an invalid value with an error matching ErrInvalidInput.
 type Options struct {
 	// Theta is the ΘALG cone angle in (0, π/3]; 0 selects π/6.
 	Theta float64
-	// Range is the maximum transmission range D. 0 selects
-	// 1.3 × the critical connectivity range of the point set.
+	// Range is the maximum transmission range D, positive and finite. 0
+	// selects 1.3 × the critical connectivity range of the point set.
 	Range float64
 	// Kappa is the path-loss exponent for energy costs (κ ≥ 2 per the
 	// power-attenuation model); 0 selects 2.
@@ -66,41 +65,40 @@ type Options struct {
 	Telemetry *Telemetry
 }
 
-func (o Options) withDefaults(ctx context.Context, pts []Point) (Options, error) {
-	if o.Theta == 0 {
-		o.Theta = topology.DefaultTheta
+// withDefaults applies the κ/Δ defaults and resolves ΘALG's input over
+// pts, returning the filled-in options and the resolved build
+// configuration.
+func (o Options) withDefaults(ctx context.Context, pts []Point) (Options, topology.Config, error) {
+	var err error
+	if o.Kappa, o.Delta, err = kappaDelta(o.Kappa, o.Delta); err != nil {
+		return o, topology.Config{}, err
 	}
-	if o.Theta <= 0 || o.Theta > math.Pi/3+1e-12 {
-		return o, fmt.Errorf("toporouting: theta %v outside (0, π/3]", o.Theta)
+	cfg, err := topology.Resolve(ctx, pts, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry})
+	o.Theta, o.Range = cfg.Theta, cfg.Range
+	return o, cfg, err
+}
+
+// kappaDelta applies the defaults and bounds of the path-loss exponent κ
+// and the interference guard zone Δ, which the ΘALG build does not read.
+func kappaDelta(kappa, delta float64) (float64, float64, error) {
+	if kappa == 0 {
+		kappa = 2
 	}
-	if o.Kappa == 0 {
-		o.Kappa = 2
+	if !(kappa >= 2) {
+		return kappa, delta, invalid("kappa %v below 2", kappa)
 	}
-	if o.Kappa < 2 {
-		return o, fmt.Errorf("toporouting: kappa %v below 2", o.Kappa)
+	if delta == 0 {
+		delta = interference.DefaultDelta
 	}
-	if o.Delta == 0 {
-		o.Delta = interference.DefaultDelta
+	if !(delta > 0) {
+		return kappa, delta, invalid("delta %v must be positive", delta)
 	}
-	if o.Delta <= 0 {
-		return o, fmt.Errorf("toporouting: delta %v must be positive", o.Delta)
-	}
-	if o.Range == 0 {
-		// The default range costs a spanning tree over pts; its own span
-		// keeps that out of the caller's self time in traces. Coincident
-		// points, which every build rejects, are caught before the tree.
-		_, span := telemetry.StartChild(ctx, "unitdisk.critical_range")
-		d, distinct := unitdisk.DefaultRangeDistinct(pts)
-		span.End()
-		if !distinct {
-			return o, topology.CheckDistinct(pts)
-		}
-		o.Range = d
-	}
-	if o.Range <= 0 {
-		return o, fmt.Errorf("toporouting: range %v must be positive", o.Range)
-	}
-	return o, nil
+	return kappa, delta, nil
+}
+
+// invalid returns a rejection wrapping ErrInvalidInput.
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("toporouting: %w: "+format, append([]any{ErrInvalidInput}, args...)...)
 }
 
 // Network is a built topology: the bounded-degree graph N of ΘALG over a
@@ -127,14 +125,23 @@ func (nw *Network) transmissionGraph() *graph.Graph {
 	return nw.gstarG
 }
 
+// ErrInvalidInput is matched (errors.Is) by every rejection of a caller's
+// input: fewer than two points, θ outside (0, π/3], a range that is not
+// positive and finite (or 0 for the default), κ below 2, Δ not positive,
+// coincident points, an invalid fault plan or simulation option, and an
+// unknown point distribution.
+var ErrInvalidInput = topology.ErrInvalidInput
+
 // ErrCoincidentPoints is the error the builders return when two points
-// share a position: ΘALG requires distinct positions.
+// share a position: ΘALG requires distinct positions. It wraps
+// ErrInvalidInput.
 var ErrCoincidentPoints = topology.ErrCoincidentPoints
 
-// BuildNetwork runs ΘALG over the given points. It returns an error for
-// invalid options, fewer than two points or coincident points (wrapping
-// ErrCoincidentPoints); it does not require G* to be connected, but
-// stretch evaluation reports disconnected pairs.
+// BuildNetwork runs ΘALG over the given points. It returns an error
+// wrapping ErrInvalidInput for invalid options, fewer than two points or
+// coincident points (which also match ErrCoincidentPoints); it does not
+// require G* to be connected, but stretch evaluation reports disconnected
+// pairs.
 func BuildNetwork(points []Point, opts Options) (*Network, error) {
 	return BuildNetworkContext(context.Background(), points, opts, 0, nil)
 }
@@ -169,10 +176,7 @@ func (ar *BuildArena) Footprint() int { return ar.a.Footprint() }
 // transmission graph G* is heap-allocated and exempt, but the topology
 // and its graphs are not).
 func BuildNetworkContext(ctx context.Context, points []Point, opts Options, workers int, ar *BuildArena) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(ctx, points)
+	o, cfg, err := opts.withDefaults(ctx, points)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +184,7 @@ func BuildNetworkContext(ctx context.Context, points []Point, opts Options, work
 	if ar != nil {
 		tar = &ar.a
 	}
-	top, err := topology.BuildThetaArena(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers, tar)
+	top, err := topology.BuildThetaArena(ctx, points, cfg, workers, tar)
 	if err != nil {
 		return nil, err
 	}
@@ -228,14 +232,11 @@ type DynamicNetwork struct {
 // and returns the churn-maintenance handle. Like BuildNetwork it returns an
 // error for invalid options, fewer than two points or coincident points.
 func BuildDynamicNetwork(points []Point, opts Options) (*DynamicNetwork, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(context.Background(), points)
+	o, cfg, err := opts.withDefaults(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
-	top, err := topology.BuildThetaContext(context.Background(), points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, 0)
+	top, err := topology.BuildThetaContext(context.Background(), points, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -546,10 +547,10 @@ func GeneratePoints(kind string, n int, seed int64) ([]Point, error) {
 	}
 	k, ok := kinds[kind]
 	if !ok {
-		return nil, fmt.Errorf("toporouting: unknown distribution %q", kind)
+		return nil, invalid("unknown distribution %q", kind)
 	}
 	if n < 2 {
-		return nil, errors.New("toporouting: need n ≥ 2")
+		return nil, invalid("need n ≥ 2, got %d", n)
 	}
 	return pointset.Generate(k, n, seed), nil
 }

@@ -291,6 +291,38 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsAsBuildNetwork: a simulation, single or Monte-Carlo,
+// rejects the options BuildNetwork rejects, with the same error matching
+// ErrInvalidInput, instead of panicking (θ = 2) or running on a default
+// (range −1, κ = 1).
+func TestSimulateRejectsAsBuildNetwork(t *testing.T) {
+	pts := mustPoints(t, "uniform", 30, 1)
+	for _, o := range []Options{
+		{Theta: 2},
+		{Theta: -0.5},
+		{Range: -1},
+		{Range: math.NaN()},
+		{Kappa: 1},
+		{Delta: -0.5},
+	} {
+		_, want := BuildNetwork(pts, o)
+		if !errors.Is(want, ErrInvalidInput) {
+			t.Fatalf("BuildNetwork(%+v): err = %v, want ErrInvalidInput", o, want)
+		}
+		sim := SimulationOptions{
+			Points: pts, Theta: o.Theta, Range: o.Range, Kappa: o.Kappa, Delta: o.Delta,
+			Router: RouterOptions{BufferSize: 5}, Steps: 4,
+		}
+		_, err := Simulate(sim)
+		if !errors.Is(err, ErrInvalidInput) || err.Error() != want.Error() {
+			t.Errorf("Simulate(%+v): err = %v, want %v", o, err, want)
+		}
+		if _, err := SimulateMonteCarlo(sim, []int64{1, 2}, 2); !errors.Is(err, ErrInvalidInput) || err.Error() != want.Error() {
+			t.Errorf("SimulateMonteCarlo(%+v): err = %v, want %v", o, err, want)
+		}
+	}
+}
+
 func TestRunExperimentFacade(t *testing.T) {
 	out, err := RunExperiment("E1", false)
 	if err != nil {
